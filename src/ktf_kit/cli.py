@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -41,10 +42,14 @@ def _c(z) -> str:
     return f"{_f(z.real)} {_f(z.imag)}"
 
 
+class _UsageError(Exception):
+    """A flag value outside its documented range; main maps it to USAGE_EXIT."""
+
+
 def _char(N: int, index: int) -> DirichletCharacter:
     chars = enumerate_characters(N)
     if not 0 <= index < len(chars):
-        raise SystemExit(f"character index {index} out of range for modulus {N}")
+        raise _UsageError(f"character index {index} out of range for modulus {N}")
     return chars[index]
 
 
@@ -73,17 +78,11 @@ def load_spectral_data(path: str) -> list[SpectralDatum]:
 
 
 def _write_csv(path: str | None, header: list[str], rows):
-    if path is None:
-        w = csv.writer(sys.stdout)
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
+        w = csv.writer(fh)
         w.writerow(header)
-        for r in rows:
-            w.writerow(r)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for r in rows:
-                w.writerow(r)
+        w.writerows(rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -179,8 +178,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _dispatch(args)
-    except SystemExit:
-        raise
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except ArithmeticError as exc:  # e.g. a Kloosterman c-series that did not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return TOLERANCE_EXIT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
@@ -254,8 +257,7 @@ def _dispatch(args) -> int:
                        [e.label_row() for e in basis])
             return 0
         if not 0 <= args.element < len(basis):
-            print(f"element index out of range (basis size {len(basis)})", file=sys.stderr)
-            return USAGE_EXIT
+            raise _UsageError(f"element index out of range (basis size {len(basis)})")
         e = basis[args.element]
         if args.mode == "residue":
             print(_f(residue_half(e)))

@@ -6,7 +6,8 @@ companion characters chi1' mod N1 and chi2' mod N2, a unimodular constant and
 an exact rational norm.  The Eisenstein series attached to a (scaled) element
 is evaluated either as a lattice sum (rows completed by Euler-Maclaurin
 tails; absolutely convergent range Re s > 1/2) or through its Fourier
-expansion (K-Bessel series; valid on the continued region).
+expansion (K-Bessel series; valid on the continued region).  hurwitz_zeta
+takes an array of s, so an L-line on a t-grid is one call per residue class.
 """
 
 from __future__ import annotations
@@ -33,35 +34,45 @@ _BERNOULLI = (
 )
 
 
-def hurwitz_zeta(s: complex, q: float, deflate: bool = False) -> complex:
-    """zeta(s, q) by Euler-Maclaurin; any complex s != 1, q > 0.
+_HURWITZ_BLOCK_TERMS = 256 * 64  # (s, n) head terms per block: 256 values of s up to |Im s| = 42
 
-    With deflate=True returns the entire function zeta(s, q) - 1/(s-1)
-    (usable at s = 1; Dirichlet L of a non-principal character sums it).
+
+def hurwitz_zeta(s: complex | np.ndarray, q: float,
+                 deflate: bool = False) -> complex | np.ndarray:
+    """zeta(s, q) by Euler-Maclaurin, elementwise on a scalar or an array of s.
+
+    Any complex s != 1, q > 0; each s has its own head length K(s).  With
+    deflate=True returns the entire function zeta(s, q) - 1/(s-1) (usable at
+    s = 1; Dirichlet L of a non-principal character sums it).
     """
-    s = complex(s)
+    sa = np.asarray(s, dtype=complex)
     if q <= 0:
         raise ValueError("hurwitz_zeta requires q > 0")
-    if not deflate and abs(s - 1) < 1e-12:
+    ss = sa.reshape(-1)
+    if not deflate and np.any(np.abs(ss - 1) < 1e-12):
         raise ValueError("pole at s = 1")
-    K = max(14, int(1.4 * abs(s.imag)) + 6)
-    n = np.arange(K)
-    total = complex(np.sum(np.exp(-s * np.log(n + q))))
-    x = K + q
-    lx = math.log(x)
-    if deflate:
-        if abs(s - 1) < 1e-8:
-            total += -lx + 0.5 * (s - 1) * lx * lx  # [(x^{1-s} - 1)/(s-1)] near s=1
+    K = np.maximum(14, (1.4 * np.abs(ss.imag)).astype(int) + 6)
+    rows = max(1, _HURWITZ_BLOCK_TERMS // int(K.max(initial=1)))
+    out = np.empty_like(ss)
+    for i in range(0, len(ss), rows):
+        s, k = ss[i:i + rows], K[i:i + rows]
+        n = np.arange(k.max())
+        total = np.where(n < k[:, None], np.exp(-s[:, None] * np.log(n + q)), 0).sum(axis=1)
+        lx = np.log(k + q)
+        tail = np.exp((1 - s) * lx)
+        if deflate:  # [(x^{1-s} - 1)/(s-1)], by its Taylor expansion near s = 1
+            near = np.abs(s - 1) < 1e-8
+            total += np.where(near, -lx + 0.5 * (s - 1) * lx * lx,
+                              (tail - 1.0) / np.where(near, 1.0, s - 1))
         else:
-            total += (cmath.exp((1 - s) * lx) - 1.0) / (s - 1)
-    else:
-        total += cmath.exp((1 - s) * lx) / (s - 1)
-    total += 0.5 * cmath.exp(-s * lx)
-    poch = s
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        total += float(b2j) / math.factorial(2 * j) * poch * cmath.exp(-(s + 2 * j - 1) * lx)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-    return total
+            total += tail / (s - 1)
+        total += 0.5 * np.exp(-s * lx)
+        poch = s
+        for j, b2j in enumerate(_BERNOULLI, start=1):
+            total += float(b2j) / math.factorial(2 * j) * poch * np.exp(-(s + 2 * j - 1) * lx)
+            poch = poch * (s + 2 * j - 1) * (s + 2 * j)
+        out[i:i + rows] = total
+    return complex(out[0]) if sa.ndim == 0 else out.reshape(sa.shape)
 
 
 def riemann_zeta(s: complex) -> complex:
@@ -238,13 +249,8 @@ def phi_fin_value(e: EisensteinBasisElement, c: int, d: int) -> complex:
     M = e.M
     if c % M != 0:
         return 0j
-    chi1p = e.chi1p
-    if e.N1 == 1:
-        v1 = 1.0 + 0j
-    else:
-        v1 = np.conj(chi1p(c // M)) if c != 0 else (1.0 + 0j if e.N1 == 1 else 0j)
-    if c == 0:
-        v1 = 1.0 + 0j if e.N1 == 1 else 0j
+    # chi1' mod N1 > 1 vanishes at c / M = 0
+    v1 = 1.0 + 0j if e.N1 == 1 else np.conj(e.chi1p(c // M))
     return e.constant * v1 * e.chi2p(d)
 
 
@@ -391,14 +397,13 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
         if abs(W2) > 1e-15:
             I0 = 2.0 * _asymptotic_J(rho, 0.0)
             tail = 0j
-            for a in range(1, e.N1 + 1) if e.N1 > 1 else [1]:
-                w1 = np.conj(e.chi1p(a)) if e.N1 > 1 else (1.0 if a == 1 else 0.0)
+            for a in range(1, e.N1 + 1):
+                w1 = np.conj(e.chi1p(a)) if e.N1 > 1 else 1.0
                 if w1 == 0:
                     continue
-                k0 = math.floor((C - a) / e.N1) + 1 if e.N1 > 1 else C
-                q0 = (a + e.N1 * k0) / e.N1 if e.N1 > 1 else C + 1
-                ztail = hurwitz_zeta(2 * s, q0) * cmath.exp(-2 * s * math.log(e.N1 if e.N1 > 1 else 1.0)) if e.N1 > 1 else hurwitz_zeta(2 * s, q0)
-                tail += w1 * ztail
+                k0 = (C - a) // e.N1 + 1  # first row index a + N1 k0 above C
+                q0 = (a + e.N1 * k0) / e.N1
+                tail += w1 * (hurwitz_zeta(2 * s, q0) * cmath.exp(-2 * s * math.log(e.N1)))
             F += (W2 / e.N2) * I0 * cmath.exp((1 - 2 * rho) * math.log(M * y)) * tail
         return cmath.exp((0.5 + s) * math.log(y)) * (chi10 + F / denL)
 

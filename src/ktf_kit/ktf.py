@@ -22,15 +22,15 @@ from functools import lru_cache
 import numpy as np
 
 from . import arith
-from .characters import DirichletCharacter, induce
+from .characters import DirichletCharacter
 from .eisenstein import (
     EisensteinBasisElement,
-    dirichlet_L,
+    _denominator_character,
     enumerate_basis,
     hurwitz_zeta,
 )
 from .expsums import KloostermanQuery, gauss_sum, kloosterman
-from .specfun import gl_panels, j2it_values
+from .specfun import gamma_complex, gl_panels, j2it_values
 from .transforms import TestFunction, get_pipeline
 
 
@@ -154,7 +154,9 @@ def geo_main(req: KtfRequest) -> complex:
 
 
 class _JIntegralCache:
-    """Jint(x) = int_R J_{2it}(x) h(t) t / cosh(pi t) dt on a fixed t-grid per h."""
+    """Jint(x) = int_R J_{2it}(x) h(t) t / cosh(pi t) dt on t-grids per h.
+
+    A grid keeps its row 1/Gamma(1 + 2it) for every x that uses it."""
 
     def __init__(self, h: TestFunction):
         self.h = h
@@ -169,21 +171,15 @@ class _JIntegralCache:
             panels = max(32, int(self.T / width))
             ts, ws = gl_panels(0.0, self.T, panels, 16)
             hw = np.real(np.asarray(self.h(ts))) * ts / np.cosh(np.pi * ts) * ws
-            self._grids[key] = (ts, ws, hw)
+            self._grids[key] = (ts, hw, 1.0 / gamma_complex(1 + 2j * ts))
         return self._grids[key]
 
     def __call__(self, x: float) -> complex:
         if x not in self._cache:
-            ts, _, hw = self._grid(x)
-            jv = j2it_values(ts, x)
+            ts, hw, rgamma = self._grid(x)
+            jv = j2it_values(ts, x, rgamma=rgamma)
             self._cache[x] = complex(2j * np.sum(np.imag(jv) * hw))
         return self._cache[x]
-
-    def refined(self, x: float) -> complex:
-        ts0, _, _ = self._grid(x)
-        ts, ws = gl_panels(0.0, self.T, 2 * max(32, len(ts0) // 16), 16)
-        hw = np.real(np.asarray(self.h(ts))) * ts / np.cosh(np.pi * ts) * ws
-        return complex(2j * np.sum(np.imag(j2it_values(ts, x)) * hw))
 
 
 @lru_cache(maxsize=16)
@@ -282,7 +278,7 @@ def _L_line_vec(chi: DirichletCharacter, ts: np.ndarray) -> np.ndarray:
     s = 1.0 + 2j * ts
     M = chi.modulus
     if chi.is_principal():
-        out = np.array([hurwitz_zeta(si, 1.0) for si in s])
+        out = hurwitz_zeta(s, 1.0)
         for p, _ in arith.factor(M):
             out *= 1.0 - np.exp(-s * math.log(p))
         return out
@@ -292,7 +288,7 @@ def _L_line_vec(chi: DirichletCharacter, ts: np.ndarray) -> np.ndarray:
     for a in range(1, c + 1):
         va = chi0(a)
         if va != 0:
-            out += va * np.array([hurwitz_zeta(si, a / c) for si in s])
+            out += va * hurwitz_zeta(s, a / c)
     out *= np.exp(-s * math.log(c))
     for p, _ in arith.factor(M):
         if c % p != 0:
@@ -325,9 +321,7 @@ class _ContinuousContext:
         self.hv = np.real(np.asarray(h(self.grid.ts)))
         self.elements = []
         for e in enumerate_basis(N, omega):
-            den_char = induce(e.pair.chi1.primitive(), N).conj().mul(
-                induce(e.pair.chi2.primitive(), N))
-            Labs2 = np.abs(_L_line_vec(den_char, self.grid.ts)) ** 2
+            Labs2 = np.abs(_L_line_vec(_denominator_character(e), self.grid.ts)) ** 2
             self.elements.append((e, float(e.norm_sq), Labs2))
         self._sigma: dict = {}
         self._lambda: dict = {}

@@ -2,8 +2,9 @@
 
 K_it comes from the real cosh-transform integral, J_2it from its power series
 below a cutoff (with an ODE continuation used internally above it), Gamma from
-a fixed Lanczos table.  All constants live here so results are reproducible
-bit-for-bit across runs.
+a fixed Lanczos table, elementwise on arrays so a whole t-grid takes one call
+(the ktf module keeps the row 1/Gamma(1 + 2it) of each of its t-grids).  All
+constants live here so results are reproducible bit-for-bit across runs.
 """
 
 from __future__ import annotations
@@ -29,34 +30,26 @@ _LANCZOS_C = (
 )
 
 
-def gamma_complex(z: complex) -> complex:
-    """Gamma(z) by the Lanczos sum; reflection handles Re(z) < 1/2.
+def gamma_complex(z: complex | np.ndarray) -> complex | np.ndarray:
+    """Gamma(z) by the Lanczos sum, elementwise on a scalar or an array of z.
 
+    Reflection handles Re(z) < 1/2; a pole anywhere raises ValueError.
     Relative error below 1e-12 for |Im z| <= 30 away from the poles.
     """
-    z = complex(z)
-    if z.imag == 0 and z.real == int(z.real) and z.real <= 0:
-        raise ValueError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        s = math.pi if z.imag == 0 else np.pi
-        return s / (np.sin(np.pi * z) * gamma_complex(1 - z))
-    z -= 1
+    za = np.asarray(z, dtype=complex)
+    zs = za.reshape(-1)
+    pole = (zs.imag == 0) & (zs.real <= 0) & (zs.real == np.round(zs.real))
+    if np.any(pole):
+        raise ValueError(f"gamma pole at z = {zs[pole][0]}")
+    refl = zs.real < 0.5
+    w = np.where(refl, 1 - zs, zs) - 1
     x = _LANCZOS_C[0]
     for i in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return complex(math.sqrt(2 * math.pi) * t ** (z + 0.5) * np.exp(-t) * x)
-
-
-def log_abs_gamma_half_plus(t: float) -> float:
-    """log |Gamma(1/2 + it)| via the reflection formula (exact)."""
-    # |Gamma(1/2+it)|^2 = pi / cosh(pi t)
-    return 0.5 * (math.log(math.pi) - _log_cosh(math.pi * t))
-
-
-def _log_cosh(x: float) -> float:
-    a = abs(x)
-    return a + math.log1p(math.exp(-2 * a)) - math.log(2)
+        x = x + _LANCZOS_C[i] / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    out = math.sqrt(2 * math.pi) * t ** (w + 0.5) * np.exp(-t) * x
+    out[refl] = np.pi / (np.sin(np.pi * zs[refl]) * out[refl])
+    return complex(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
 # ----------------------------------------------------------------------------
@@ -171,10 +164,8 @@ def bessel_K(nu: complex, x: float) -> complex:
     u_max = math.acosh(max(2.0, (745.0 + 10.0) / x))
     # guard against cosh(nu u) growth for real parts
     if abs(nu.real) > 0:
-        lo = x
         while x * math.cosh(u_max) - abs(nu.real) * u_max < 745.0 and u_max < 60.0:
             u_max += 0.5
-        _ = lo
     width = min(0.5, math.pi / (2.0 * (1.0 + abs(nu.imag))))
     u, w = gl_panels(0.0, u_max, max(8, int(u_max / width) + 1), 16)
     vals = np.exp(-x * np.cosh(u)) * np.cosh(nu * u)
@@ -219,10 +210,14 @@ def bessel_J_2it(t: float, x: float) -> complex:
     return complex(j2it_values(np.array([t]), x)[0])
 
 
-def _j_series(nu: np.ndarray, x: float) -> np.ndarray:
-    """Power series of J_nu(x) for an array of complex orders."""
-    g = np.array([gamma_complex(1 + v) for v in nu])
-    term = np.exp(nu * math.log(x / 2.0)) / g
+def _j_series(nu: np.ndarray, x: float, rgamma: np.ndarray | None = None) -> np.ndarray:
+    """Power series of J_nu(x) for an array of complex orders.
+
+    rgamma is 1/Gamma(1 + nu); computed here when the caller has not kept it.
+    """
+    if rgamma is None:
+        rgamma = 1.0 / gamma_complex(1 + nu)
+    term = np.exp(nu * math.log(x / 2.0)) * rgamma
     total = term.copy()
     z = x * x / 4.0
     for k in range(1, J_SERIES_MAX_TERMS + 1):
@@ -233,12 +228,8 @@ def _j_series(nu: np.ndarray, x: float) -> np.ndarray:
     return total
 
 
-def _j2it_series(ts: np.ndarray, x: float) -> np.ndarray:
-    return _j_series(2j * np.asarray(ts, dtype=float), x)
-
-
-def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, x0: float = 6.0,
-                     step: float = 0.002) -> dict[float, np.ndarray]:
+def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, x0: float = 6.0, step: float = 0.002,
+                     rgamma: np.ndarray | None = None) -> dict[float, np.ndarray]:
     """J_{2it}(x) beyond the safe series range by integrating Bessel's ODE.
 
     Seeds at x0 with series values (cancellation-free there) and the exact
@@ -249,7 +240,7 @@ def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, x0: float = 6.0,
     ts = np.asarray(ts, dtype=float)
     nu = 2j * ts
     nu2 = nu * nu  # = -4 t^2
-    y = _j_series(nu, x0)
+    y = _j_series(nu, x0, rgamma)
     yp = (nu / x0) * y - _j_series(nu + 1, x0)
 
     def rhs(x, y, yp):
@@ -273,9 +264,13 @@ def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, x0: float = 6.0,
     return out
 
 
-def j2it_values(ts: np.ndarray, x: float) -> np.ndarray:
-    """J_{2it}(x) on an array of t, choosing series or ODE continuation."""
+def j2it_values(ts: np.ndarray, x: float, rgamma: np.ndarray | None = None) -> np.ndarray:
+    """J_{2it}(x) on an array of t, choosing series or ODE continuation.
+
+    rgamma, if given, is 1/Gamma(1 + 2it) on ts, which a caller that
+    evaluates many x on one fixed t-grid keeps with that grid.
+    """
     ts = np.asarray(ts, dtype=float)
     if x <= 6.0:
-        return _j2it_series(ts, x)
-    return _j2it_ode_extend(ts, np.array([x]))[float(x)]
+        return _j_series(2j * ts, x, rgamma)
+    return _j2it_ode_extend(ts, np.array([x]), rgamma=rgamma)[float(x)]

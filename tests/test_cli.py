@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -48,6 +49,28 @@ def test_gauss(capsys):
     assert code == 0
     re, im = map(float, out.split())
     assert abs(complex(re, im)) == pytest.approx(5**0.5, abs=1e-9)
+
+
+def test_index_out_of_range_is_usage_error(capsys):
+    code, out, err = run_cli(["gauss", "--modulus", "5", "--char-index", "9",
+                              "--m", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: character index 9 out of range")
+    code, _, err = run_cli(["eisenstein", "--N", "5", "--element", "99",
+                            "--s-re", "0.75"], capsys)
+    assert code == 2 and err.startswith("error: element index out of range")
+    proc = subprocess.run([sys.executable, "-m", "ktf_kit.cli", "gauss", "--modulus", "5",
+                           "--char-index", "9", "--m", "1"], capture_output=True, text=True)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+def test_unconverged_c_series_is_tolerance_exit(monkeypatch, capsys):
+    from ktf_kit import ktf
+    monkeypatch.setattr(ktf, "geo_kloosterman",
+                        functools.partial(ktf.geo_kloosterman, c_cap=70))
+    code, out, err = run_cli(["ktf", "--N", "7", "--h", "gaussian:1"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: c-sum not converged by c = 70")
 
 
 def test_weil_scan_csv(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ktf_kit import arith
 from ktf_kit.characters import (
@@ -25,6 +26,7 @@ from ktf_kit.eisenstein import (
     riemann_zeta,
     sigma_s,
 )
+from ktf_kit.ktf import _L_line_vec
 
 TRIV1 = DirichletCharacter.principal(1)
 
@@ -38,6 +40,59 @@ def test_hurwitz_against_oracle():
         for q in (1.0, 0.2, 1 / 7):
             ref = complex(mp.zeta(mp.mpc(s), q))
             assert abs(hurwitz_zeta(s, q) - ref) <= 1e-11 * abs(ref)
+
+
+# six decimals keep s off the tiny nonzero values where mpmath at 30 digits
+# loses accuracy (zeta(s, 2) at s = -2e-24 is off by 5e-11)
+HURWITZ_ARGS = st.builds(complex, st.floats(-0.5, 3.0).map(lambda v: round(v, 6)),
+                         st.floats(-20.0, 20.0).map(lambda v: round(v, 6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(HURWITZ_ARGS, min_size=1, max_size=12), st.floats(0.05, 2.0),
+       st.booleans())
+def test_hurwitz_array_matches_scalar_and_oracle(ss, q, deflate):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    if not deflate:
+        ss = [s for s in ss if abs(s - 1) > 1e-3]
+        assume(ss)
+    vals = hurwitz_zeta(np.array(ss), q, deflate=deflate)
+    assert vals.shape == (len(ss),)
+    for s, v in zip(ss, vals):
+        scalar = hurwitz_zeta(s, q, deflate=deflate)
+        assert isinstance(scalar, complex)
+        assert abs(v - scalar) <= 1e-14 * max(1.0, abs(scalar))
+        if deflate and s == 1:
+            ref = complex(-mp.digamma(q))  # the limit of zeta(s, q) - 1/(s-1)
+        else:
+            ref = mp.zeta(mp.mpc(s.real, s.imag), q)
+            ref = complex(ref - 1 / (mp.mpc(s.real, s.imag) - 1) if deflate else ref)
+        assert abs(v - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+def test_hurwitz_array_pole_and_long_rows():
+    with pytest.raises(ValueError, match="pole"):
+        hurwitz_zeta(np.array([2.0, 1.0, 3.0]), 1.0)
+    # |Im s| = 2000 needs 2806-term heads; blocks shrink so each stays small
+    s = np.array([0.5 + 2000j, 2.0 + 3.0j, 1.5 - 1999j])
+    vals = hurwitz_zeta(s, 0.5)
+    for si, v in zip(s, vals):
+        assert v == pytest.approx(hurwitz_zeta(si, 0.5), rel=1e-13)
+
+
+# (12, 0) is principal; (15, 1) is induced from a character mod 5
+@pytest.mark.parametrize("modulus, index", [(12, 0), (15, 1), (5, 1), (7, 2)])
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(0.05, 12.0), min_size=1, max_size=8))
+def test_L_line_vec_matches_dirichlet_L(modulus, index, ts):
+    chi = enumerate_characters(modulus)[index]
+    assert chi.is_principal() == (modulus == 12)
+    ts = np.array(ts)
+    vals = _L_line_vec(chi, ts)
+    for t, v in zip(ts, vals):
+        ref = dirichlet_L(chi, 1 + 2j * t)
+        assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_L_nonreal_mod5_finite():

@@ -11,6 +11,7 @@ from ktf_kit.eisenstein import enumerate_basis, hurwitz_zeta
 from ktf_kit.ktf import (
     KtfRequest,
     SpectralDatum,
+    _jint_cache,
     classical_crosscheck,
     cuspidal_from_data,
     cuspidal_inferred,
@@ -70,6 +71,28 @@ def test_geo_main_character_at_m1_over_b():
     assert abs(geo_main(r)) > 0
     r2 = KtfRequest(3, om, 1, 9, 1, H)  # b = 3... wait gcd(9,1)=1, b must divide 1
     assert geo_main(r2) == 0j
+
+
+# Jint(x) = int J_{2it}(x) h(t) t / cosh(pi t) dt for gaussian:1 is purely
+# imaginary; these imaginary parts were computed with one scalar Lanczos Gamma
+# call per t-node.  4 pi / c for c = 101, 1009, 30000 are Kloosterman-term
+# arguments, 0.5, 3.0, 5.9 run the J-series and 7.5 the ODE continuation.
+JINT_GAUSSIAN_1 = [
+    (4 * math.pi / 101, -0.0786026261613868),
+    (4 * math.pi / 1009, -0.007994507042636143),
+    (4 * math.pi / 30000, -0.00026892560492561615),
+    (0.5, -0.2517973950557416),
+    (3.0, 0.34039250126921533),
+    (5.9, -0.28198862617068116),
+    (7.5, 0.037167245793310315),
+]
+
+
+@pytest.mark.parametrize("x, im", JINT_GAUSSIAN_1)
+def test_jint_pinned_values(x, im):
+    v = _jint_cache(TestFunction.parse("gaussian:1"))(x)
+    assert v.real == 0
+    assert abs(v.imag - im) <= 1e-13 * abs(im)
 
 
 def test_geo_kloosterman_real_for_equal_m():

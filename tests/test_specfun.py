@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 mp = pytest.importorskip("mpmath")
 
@@ -45,6 +46,41 @@ def test_gamma_pole():
         gamma_complex(0)
     with pytest.raises(ValueError):
         gamma_complex(-3)
+
+
+def _near_pole(z: complex) -> bool:
+    k = round(z.real)
+    return k <= 0 and abs(z - k) < 0.05
+
+
+# Re z in [-4.5, 12] covers the reflection branch; |Im z| <= 30 is the
+# documented accuracy range
+GAMMA_ARGS = st.builds(complex, st.floats(-4.5, 12.0), st.floats(-30.0, 30.0)).filter(
+    lambda z: not _near_pole(z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GAMMA_ARGS, min_size=1, max_size=16))
+def test_gamma_array_matches_scalar_and_oracle(zs):
+    vals = gamma_complex(np.array(zs))
+    assert vals.shape == (len(zs),)
+    for z, v in zip(zs, vals):
+        scalar = gamma_complex(z)
+        assert isinstance(scalar, complex)
+        assert abs(v - scalar) <= 1e-15 * abs(scalar)
+        ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+        assert abs(v - ref) <= 1e-12 * abs(ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(GAMMA_ARGS, max_size=8), st.integers(-8, 0), st.data())
+def test_gamma_array_with_pole_raises(zs, pole, data):
+    at = data.draw(st.integers(0, len(zs)))
+    z = np.array(zs[:at] + [complex(pole)] + zs[at:])
+    with pytest.raises(ValueError, match="pole"):
+        gamma_complex(z)
+    with pytest.raises(ValueError, match="pole"):
+        gamma_complex(z.reshape(1, -1))
 
 
 def test_bessel_K_it_against_oracle():
