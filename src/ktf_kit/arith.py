@@ -167,9 +167,6 @@ class UnitGroupStructure:
     generators: tuple[int, ...]
     orders: tuple[int, ...]
 
-    def log_table(self) -> dict[int, tuple[int, ...]]:
-        return _unit_log_table(self.modulus)
-
 
 @lru_cache(maxsize=None)
 def unit_group(q: int) -> UnitGroupStructure:

@@ -180,14 +180,6 @@ def enumerate_characters(N: int) -> list[DirichletCharacter]:
     return out
 
 
-def char_eval(chi: DirichletCharacter, n: int) -> complex:
-    return chi(n)
-
-
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor
-
-
 def induce(chi: DirichletCharacter, M: int) -> DirichletCharacter:
     """View chi at modulus M, where conductor(chi) | M.
 

@@ -53,6 +53,20 @@ def _char(N: int, index: int) -> DirichletCharacter:
     return chars[index]
 
 
+def _from_flags(build, *args):
+    """build(*args) from flag values; a ValueError there is a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _ktf_request(args) -> KtfRequest:
+    omega = _char(args.N, args.omega_index)
+    return _from_flags(KtfRequest, args.N, omega, args.n, args.m1, args.m2,
+                       _from_flags(TestFunction.parse, args.h))
+
+
 def load_spectral_data(path: str) -> list[SpectralDatum]:
     """Parse the spectral-data CSV; raise ValueError naming the offending row."""
     header = ["t_re", "t_im", "a_m1_re", "a_m1_im", "a_m2_re", "a_m2_im",
@@ -194,7 +208,8 @@ def _dispatch(args) -> int:
 
     if cmd == "kloosterman":
         chi = _char(args.modulus, args.char_index)
-        v = kloosterman(KloostermanQuery(args.a, args.b, args.n, args.c, chi), args.mode)
+        q = _from_flags(KloostermanQuery, args.a, args.b, args.n, args.c, chi)
+        v = kloosterman(q, args.mode)
         print(_c(v) if abs(v.imag) > 1e-12 else _f(v.real))
         return 0
 
@@ -221,7 +236,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "transform-roundtrip":
-        h = TestFunction.parse(args.h)
+        h = _from_flags(TestFunction.parse, args.h)
         err = roundtrip_sup_error(h, args.t_max)
         vi = v_zero(h, "integral")
         vp = v_zero(h, "pipeline")
@@ -240,7 +255,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "zagier":
-        h = TestFunction.parse(args.h)
+        h = _from_flags(TestFunction.parse, args.h)
         zb = zagier_hat(h, args.a, "bessel")
         zg = zagier_hat(h, args.a, "geometric")
         print(f"bessel {_f(zb)}")
@@ -271,9 +286,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "ktf":
-        omega = _char(args.N, args.omega_index)
-        req = KtfRequest(args.N, omega, args.n, args.m1, args.m2,
-                         TestFunction.parse(args.h))
+        req = _ktf_request(args)
         rep = cuspidal_inferred(req)
         doc = rep.to_json_dict()
         from .ktf import h_tanh_integral
@@ -281,8 +294,8 @@ def _dispatch(args) -> int:
             h_tanh_integral(req.h) * arith.psi(args.N))
         if args.spectral_data is not None:
             data = load_spectral_data(args.spectral_data)
-            doc["spec_cuspidal_from_data"] = [cuspidal_from_data(req, data).real,
-                                              cuspidal_from_data(req, data).imag]
+            v = cuspidal_from_data(req, data)
+            doc["spec_cuspidal_from_data"] = [v.real, v.imag]
         text = json.dumps(doc, indent=2)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -292,16 +305,14 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "crosscheck":
-        omega = _char(args.N, args.omega_index)
-        req = KtfRequest(args.N, omega, args.n, args.m1, args.m2,
-                         TestFunction.parse(args.h))
+        req = _ktf_request(args)
         deltas = classical_crosscheck(req)
         for k, v in deltas.items():
             print(f"{k} {_f(v)}")
         return 0 if max(deltas.values()) <= args.tol else TOLERANCE_EXIT
 
     if cmd == "equidist":
-        h = TestFunction.parse(args.h)
+        h = _from_flags(TestFunction.parse, args.h)
         N_list = [int(v) for v in args.N_list.split(",") if v]
         l_list = tuple(int(v) for v in args.l_list.split(",") if v)
         rows = equidist_scan(args.p, args.m, h, N_list, l_list)

@@ -6,8 +6,9 @@ companion characters chi1' mod N1 and chi2' mod N2, a unimodular constant and
 an exact rational norm.  The Eisenstein series attached to a (scaled) element
 is evaluated either as a lattice sum (rows completed by Euler-Maclaurin
 tails; absolutely convergent range Re s > 1/2) or through its Fourier
-expansion (K-Bessel series; valid on the continued region).  hurwitz_zeta
-takes an array of s, so an L-line on a t-grid is one call per residue class.
+expansion (K-Bessel series; valid on the continued region).  hurwitz_zeta,
+dirichlet_L, sigma_s and lambda_n_eis take an array of s, so a t-grid costs
+one call each.
 """
 
 from __future__ import annotations
@@ -79,44 +80,47 @@ def riemann_zeta(s: complex) -> complex:
     return hurwitz_zeta(s, 1.0)
 
 
-def dirichlet_L(chi: DirichletCharacter, s: complex) -> complex:
-    """L(s, chi) = sum chi(n) n^{-s} continued via Hurwitz zeta at chi's modulus."""
-    M = chi.modulus
-    if chi.is_principal() and abs(s - 1) < 1e-12:
+def dirichlet_L(chi: DirichletCharacter, s: complex | np.ndarray) -> complex | np.ndarray:
+    """L(s, chi) = sum chi(n) n^{-s}, elementwise on a scalar or an array of s.
+
+    c^{-s} sum_{a mod c} chi0(a) zeta(s, a/c) for the primitive chi0 mod the
+    conductor c, times (1 - chi0(p) p^{-s}) at p | M, p not dividing c.  A
+    non-principal chi0 sums the deflated Hurwitz zeta: sum chi0(a) = 0 cancels
+    the 1/(s-1) terms exactly, which keeps s near 1 accurate.
+    """
+    sa = np.asarray(s, dtype=complex)
+    principal = chi.is_principal()
+    if principal and np.any(np.abs(sa - 1) < 1e-12):
         raise ValueError("L(s, principal) has a pole at s = 1")
-    if M == 1:
-        return riemann_zeta(s)
-    # the deflated Hurwitz sum is safe near s = 1 because sum chi(a) = 0 there
-    deflate = not chi.is_principal() and abs(s - 1) < 0.25
-    total = 0j
-    for a in range(1, M + 1):
-        va = chi(a)
+    chi0 = chi.primitive()
+    c = chi0.modulus
+    total = np.zeros_like(sa)
+    for a in range(1, c + 1):
+        va = chi0(a)
         if va != 0:
-            total += va * hurwitz_zeta(s, a / M, deflate=deflate)
-    return cmath.exp(-s * math.log(M)) * total
+            total = total + va * hurwitz_zeta(sa, a / c, deflate=not principal)
+    out = np.exp(-sa * math.log(c)) * total
+    for p, _ in arith.factor(chi.modulus):
+        if c % p != 0:
+            out = out * (1.0 - chi0(p) * np.exp(-sa * math.log(p)))
+    return complex(out) if sa.ndim == 0 else out
 
 
-def dirichlet_L_line(chi: DirichletCharacter, t: float, variant: str = "full",
-                     N: int | None = None) -> complex:
-    """L(1 + 2it, chi); 'partial' strips the Euler factors at all p | N.
+def dirichlet_L_line(chi: DirichletCharacter, t: float | np.ndarray, variant: str = "full",
+                     N: int | None = None) -> complex | np.ndarray:
+    """L(1 + 2it, chi) on a scalar or an array of t; 'partial' strips the Euler
+    factors at all p | N, that is, it takes chi induced to lcm(modulus, N).
 
     The principal character at t = 0 is a pole and raises; for t != 0 the
     value follows from the zeta relation automatically.
     """
-    s = 1 + 2j * t
-    if chi.is_principal() and t == 0:
-        raise ValueError("pole: principal character at t = 0")
-    val = dirichlet_L(chi, s)
-    if variant == "full":
-        return val
     if variant == "partial":
         if N is None:
             raise ValueError("partial variant needs the modulus N")
-        for p, _ in arith.factor(N):
-            if chi.modulus % p != 0:
-                val *= 1 - chi(p) * cmath.exp(-s * math.log(p))
-        return val
-    raise ValueError(f"unknown variant {variant!r}")
+        chi = induce(chi, math.lcm(chi.modulus, N))
+    elif variant != "full":
+        raise ValueError(f"unknown variant {variant!r}")
+    return dirichlet_L(chi, 1 + 2j * np.asarray(t))
 
 
 # ----------------------------------------------------------------------------
@@ -254,43 +258,45 @@ def phi_fin_value(e: EisensteinBasisElement, c: int, d: int) -> complex:
     return e.constant * v1 * e.chi2p(d)
 
 
-def sigma_s(e: EisensteinBasisElement, m: int, s: complex,
-            gauss_mode: str = "formula") -> complex:
-    """Generalized divisor sum sigma_s(chi1', chi2', m) of the Fourier expansion.
+def sigma_s(e: EisensteinBasisElement, m: int, s: complex | np.ndarray,
+            gauss_mode: str = "formula") -> complex | np.ndarray:
+    """Divisor sum sigma_s(chi1', chi2', m) of the Fourier expansion; s scalar or array.
 
     m != 0: M^{-(1+2s)} sum_{c | m} conj(chi1'(c)) c^{-2s} G_{chi2' mod M}(m/c).
     m = 0: phi(M) M^{-(1+2s)} L(2s, conj chi1') when chi2 is trivial, else 0;
     requires Re(s) > 1/2.
     """
     M = e.M
-    s = complex(s)
+    sa = np.asarray(s, dtype=complex)
     if m == 0:
-        if s.real <= 0.5:
+        if np.any(sa.real <= 0.5):
             raise ValueError("sigma_s at m = 0 needs Re(s) > 1/2")
-        if e.pair.chi2.conductor != 1:
-            return 0j
-        L = dirichlet_L(e.chi1p.conj(), 2 * s)
-        return arith.phi(M) * cmath.exp(-(1 + 2 * s) * math.log(M)) * L
-    chi2M = e.chi2_on_M
-    chi1p = e.chi1p
-    total = 0j
-    for c in arith.divisors(abs(m)):
-        w = np.conj(chi1p(c)) if e.N1 > 1 else 1.0
-        if w == 0:
-            continue
-        total += w * cmath.exp(-2 * s * math.log(c)) * gauss_sum(chi2M, m // c, gauss_mode)
-    return cmath.exp(-(1 + 2 * s) * math.log(M)) * total
+        total = (arith.phi(M) * dirichlet_L(e.chi1p.conj(), 2 * sa)
+                 if e.pair.chi2.conductor == 1 else np.zeros_like(sa))
+    else:
+        chi2M = e.chi2_on_M
+        chi1p = e.chi1p
+        total = np.zeros_like(sa)
+        for c in arith.divisors(abs(m)):
+            w = np.conj(chi1p(c)) if e.N1 > 1 else 1.0
+            if w == 0:
+                continue
+            g = gauss_sum(chi2M, m // c, gauss_mode)
+            total = total + w * g * np.exp(-2 * sa * math.log(c))
+    out = np.exp(-(1 + 2 * sa) * math.log(M)) * total
+    return complex(out) if sa.ndim == 0 else out
 
 
-def lambda_n_eis(n: int, pair: CharacterPair, s: complex) -> complex:
-    """Hecke eigenvalue n^s sum_{d|n} conj(chi1(d) chi2(n/d)) d^{-2s}, gcd(n,N)=1."""
+def lambda_n_eis(n: int, pair: CharacterPair, s: complex | np.ndarray) -> complex | np.ndarray:
+    """Hecke eigenvalue n^s sum_{d|n} conj(chi1(d) chi2(n/d)) d^{-2s}, gcd(n,N)=1; s array too."""
     if n < 1 or math.gcd(n, pair.modulus) != 1:
         raise ValueError("need n >= 1 coprime to the level")
-    s = complex(s)
-    total = 0j
+    sa = np.asarray(s, dtype=complex)
+    total = np.zeros_like(sa)
     for d in arith.divisors(n):
-        total += np.conj(pair.chi1(d) * pair.chi2(n // d)) * cmath.exp(-2 * s * math.log(d))
-    return cmath.exp(s * math.log(n)) * total
+        total = total + np.conj(pair.chi1(d) * pair.chi2(n // d)) * np.exp(-2 * sa * math.log(d))
+    out = np.exp(sa * math.log(n)) * total
+    return complex(out) if sa.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------------

@@ -26,10 +26,13 @@ from .characters import DirichletCharacter
 from .eisenstein import (
     EisensteinBasisElement,
     _denominator_character,
+    dirichlet_L,
     enumerate_basis,
-    hurwitz_zeta,
+    hurwitz_zeta,  # noqa: F401  not called here; bench/tracer.py finds the Hurwitz layer by it
+    lambda_n_eis,
+    sigma_s,
 )
-from .expsums import KloostermanQuery, gauss_sum, kloosterman
+from .expsums import KloostermanQuery, kloosterman
 from .specfun import gamma_complex, gl_panels, j2it_values
 from .transforms import TestFunction, get_pipeline
 
@@ -249,79 +252,35 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000,
 # continuous spectral term
 
 
-def _sigma_it_vec(e: EisensteinBasisElement, m: int, ts: np.ndarray) -> np.ndarray:
-    """sigma_{it}(chi1', chi2', m) on a grid of real t (m != 0)."""
-    M = e.M
-    chi1p = e.chi1p
-    chi2M = e.chi2_on_M
-    out = np.zeros(len(ts), dtype=complex)
-    for c in arith.divisors(abs(m)):
-        w = np.conj(chi1p(c)) if e.N1 > 1 else 1.0
-        if w == 0:
-            continue
-        g = gauss_sum(chi2M, m // c, "formula")
-        out += w * g * np.exp(-2j * ts * math.log(c))
-    return out * np.exp(-(1 + 2j * ts) * math.log(M)) if M > 1 else out
-
-
-def _lambda_vec(e: EisensteinBasisElement, n: int, ts: np.ndarray) -> np.ndarray:
-    chi1p, chi2p = e.chi1p, e.chi2p
-    out = np.zeros(len(ts), dtype=complex)
-    for d in arith.divisors(n):
-        w = np.conj((chi1p(d) if e.N1 > 1 else 1.0) * (chi2p(n // d) if e.N2 > 1 else 1.0))
-        out += w * np.exp(1j * ts * math.log(n / (d * d)))
-    return out
-
-
-def _L_line_vec(chi: DirichletCharacter, ts: np.ndarray) -> np.ndarray:
-    """L(1 + 2it, chi) on a grid; Euler-product route for principal chi."""
-    s = 1.0 + 2j * ts
-    M = chi.modulus
-    if chi.is_principal():
-        out = hurwitz_zeta(s, 1.0)
-        for p, _ in arith.factor(M):
-            out *= 1.0 - np.exp(-s * math.log(p))
-        return out
-    chi0 = chi.primitive()
-    c = chi0.modulus
-    out = np.zeros(len(ts), dtype=complex)
-    for a in range(1, c + 1):
-        va = chi0(a)
-        if va != 0:
-            out += va * hurwitz_zeta(s, a / c)
-    out *= np.exp(-s * math.log(c))
-    for p, _ in arith.factor(M):
-        if c % p != 0:
-            out *= 1.0 - chi0(p) * np.exp(-s * math.log(p))
-    return out
-
-
-@dataclass
-class _ContinuousGrid:
-    ts: np.ndarray
-    ws: np.ndarray
+_PANEL = 16  # Gauss-Legendre nodes per panel of the continuous-term grid
 
 
 @lru_cache(maxsize=32)
-def _continuous_t_grid(h: TestFunction, level: int = 0) -> _ContinuousGrid:
+def _continuous_t_grid(h: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-T, -eps] and [eps, T], in Gauss-Legendre panels."""
     T = get_pipeline(h).T
-    eps = 1e-6
-    panels = max(48, int(T * 10)) * (2**level)
-    ts1, ws1 = gl_panels(eps, T, panels, 16)
-    ts = np.concatenate([-ts1[::-1], ts1])
-    ws = np.concatenate([ws1[::-1], ws1])
-    return _ContinuousGrid(ts, ws)
+    ts1, ws1 = gl_panels(1e-6, T, max(48, int(T * 10)), _PANEL)
+    return np.concatenate([-ts1[::-1], ts1]), np.concatenate([ws1[::-1], ws1])
+
+
+@lru_cache(maxsize=1)
+def _legendre_tail() -> np.ndarray:
+    """(_PANEL, 2): a panel's values at its nodes -> its two highest Legendre
+    coefficients, by a_k = (2k + 1)/2 sum_i w_i P_k(x_i) f(x_i)."""
+    x, w = np.polynomial.legendre.leggauss(_PANEL)
+    k = np.arange(_PANEL - 2, _PANEL)
+    return w[:, None] * np.polynomial.legendre.legvander(x, _PANEL - 1)[:, k] * (2 * k + 1) / 2
 
 
 class _ContinuousContext:
-    """Per-(N, omega, h, level) caches for the continuous term."""
+    """Per-(N, omega, h) grid, |L(1 + 2it)|^2 and sigma / lambda rows of the continuous term."""
 
-    def __init__(self, N: int, omega: DirichletCharacter, h: TestFunction, level: int):
-        self.grid = _continuous_t_grid(h, level)
-        self.hv = np.real(np.asarray(h(self.grid.ts)))
+    def __init__(self, N: int, omega: DirichletCharacter, h: TestFunction):
+        self.ts, self.ws = _continuous_t_grid(h)
+        self.hv = np.real(np.asarray(h(self.ts)))
         self.elements = []
         for e in enumerate_basis(N, omega):
-            Labs2 = np.abs(_L_line_vec(_denominator_character(e), self.grid.ts)) ** 2
+            Labs2 = np.abs(dirichlet_L(_denominator_character(e), 1 + 2j * self.ts)) ** 2
             self.elements.append((e, float(e.norm_sq), Labs2))
         self._sigma: dict = {}
         self._lambda: dict = {}
@@ -329,33 +288,39 @@ class _ContinuousContext:
     def sigma(self, e, m: int) -> np.ndarray:
         key = (id(e), m)
         if key not in self._sigma:
-            self._sigma[key] = _sigma_it_vec(e, m, self.grid.ts)
+            self._sigma[key] = sigma_s(e, m, 1j * self.ts)
         return self._sigma[key]
 
     def lam(self, e, n: int) -> np.ndarray:
         key = (id(e), n)
         if key not in self._lambda:
-            self._lambda[key] = _lambda_vec(e, n, self.grid.ts)
+            self._lambda[key] = lambda_n_eis(n, e.pair, 1j * self.ts)
         return self._lambda[key]
 
 
 @lru_cache(maxsize=64)
-def _continuous_context(N: int, omega: DirichletCharacter, h: TestFunction,
-                        level: int) -> _ContinuousContext:
-    return _ContinuousContext(N, omega, h, level)
+def _continuous_context(N: int, omega: DirichletCharacter, h: TestFunction) -> _ContinuousContext:
+    return _ContinuousContext(N, omega, h)
 
 
-def spec_continuous(req: KtfRequest, level: int = 0) -> complex:
-    """Continuous-spectrum term of the trace formula (t-integral per element)."""
-    ctx = _continuous_context(req.N, req.omega, req.h, level)
-    ts, ws = ctx.grid.ts, ctx.grid.ws
-    ratio = np.exp(1j * ts * math.log(req.m1 / req.m2)) if req.m1 != req.m2 else 1.0
-    total = 0j
+def spec_continuous(req: KtfRequest) -> tuple[complex, float]:
+    """Continuous-spectrum term of the trace formula and its t_quadrature_error.
+
+    The integrand, summed over the basis elements, is integrated once on a
+    composite Gauss-Legendre grid.  The error is an estimate, not a bound:
+    half-width * max(|a14|, |a15|) summed over the 16-node panels, a14 and a15
+    being the integrand's two highest Legendre coefficients on the panel.
+    """
+    ctx = _continuous_context(req.N, req.omega, req.h)
+    ratio = np.exp(1j * ctx.ts * math.log(req.m1 / req.m2)) if req.m1 != req.m2 else 1.0
+    integrand = np.zeros(len(ctx.ts), dtype=complex)
     for e, norm, Labs2 in ctx.elements:
-        integrand = (ctx.lam(e, req.n) * ctx.sigma(e, req.m1) * np.conj(ctx.sigma(e, req.m2))
-                     * ratio * ctx.hv / (norm * Labs2))
-        total += np.sum(ws * integrand)
-    return complex(total / math.pi)
+        integrand += (ctx.lam(e, req.n) * ctx.sigma(e, req.m1) * np.conj(ctx.sigma(e, req.m2))
+                      * ratio * ctx.hv / (norm * Labs2))
+    half_widths = ctx.ws.reshape(-1, _PANEL).sum(axis=1) / 2
+    tail = np.abs(integrand.reshape(-1, _PANEL) @ _legendre_tail()).max(axis=1)
+    return (complex(np.sum(ctx.ws * integrand) / math.pi),
+            float(np.sum(half_widths * tail) / math.pi))
 
 
 # ----------------------------------------------------------------------------
@@ -365,10 +330,7 @@ def spec_continuous(req: KtfRequest, level: int = 0) -> complex:
 def cuspidal_inferred(req: KtfRequest) -> KtfReport:
     g1 = geo_main(req)
     g2, tail, used = geo_kloosterman(req)
-    s2 = spec_continuous(req)
-    s2_ref = spec_continuous(req, level=1)
-    terr = abs(s2 - s2_ref)
-    s2 = s2_ref
+    s2, terr = spec_continuous(req)
     s1 = g1 + g2 - s2
     if not (math.isfinite(s1.real) and math.isfinite(s1.imag)):
         raise ArithmeticError("non-finite trace formula assembly")
@@ -435,13 +397,13 @@ def classical_crosscheck(req: KtfRequest, k_terms: int = 40) -> dict[str, float]
     d_kloos = abs(direct_k - via_k) / max(1.0, abs(direct_k), abs(via_k))
 
     # --- continuous term, shared grid
-    direct_c = spec_continuous(req)
+    direct_c = spec_continuous(req)[0]
     via_c = 0j
     for ell, w, M1, M2 in _ell_decomposition(req):
         if w == 0:
             continue
         sub = KtfRequest(req.N, req.omega, 1, M1, M2, req.h, req.abs_tol, req.rel_tol)
-        via_c += w * spec_continuous(sub)
+        via_c += w * spec_continuous(sub)[0]
     d_cont = abs(direct_c - via_c) / max(1.0, abs(direct_c), abs(via_c))
 
     return {"geo_main": d_main, "geo_kloosterman": d_kloos, "spec_continuous": d_cont}
@@ -454,13 +416,11 @@ def hecke_sigma_identity(n: int, m: int, e: EisensteinBasisElement,
     N = e.level
     if math.gcd(n * m, N) != 1:
         raise ValueError("n and m must be coprime to the level")
-    ts = np.array([t])
-    lam = _lambda_vec(e, n, ts)[0]
-    lhs = lam * _sigma_it_vec(e, m, ts)[0] * cmath.exp(1j * t * math.log(m))
+    s = 1j * t
+    lhs = lambda_n_eis(n, e.pair, s) * sigma_s(e, m, s) * cmath.exp(s * math.log(m))
     rhs = 0j
-    chi1p, chi2p = e.chi1p, e.chi2p
     for ell in arith.divisors(math.gcd(n, m)):
-        w = np.conj((chi1p(ell) if e.N1 > 1 else 1.0) * (chi2p(ell) if e.N2 > 1 else 1.0))
+        w = np.conj(e.pair.chi1(ell) * e.pair.chi2(ell))
         arg = m * n // (ell * ell)
-        rhs += w * _sigma_it_vec(e, arg, ts)[0] * cmath.exp(1j * t * math.log(arg))
+        rhs += w * sigma_s(e, arg, s) * cmath.exp(s * math.log(arg))
     return complex(lhs), complex(rhs)

@@ -64,6 +64,20 @@ def test_index_out_of_range_is_usage_error(capsys):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("ktf --N 12 --n 2 --m1 1 --m2 1 --h gaussian:1", "need n >= 1 coprime to N"),
+    ("ktf --N 7 --n 1 --m1 0 --m2 1 --h gaussian:1", "need m1, m2 >= 1"),
+    ("ktf --N 7 --h bogus:1", "unknown test function family 'bogus'"),
+    ("crosscheck --N 5 --n 5 --m1 1 --m2 1 --h gaussian:1", "need n >= 1 coprime to N"),
+    ("zagier --h gaussian:x --a 1", "could not convert"),
+    ("kloosterman --a 1 --b 1 --n 1 --c 10 --modulus 3", "need chi modulus | c"),
+])
+def test_flag_outside_domain_is_usage_error(argv, message, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_unconverged_c_series_is_tolerance_exit(monkeypatch, capsys):
     from ktf_kit import ktf
     monkeypatch.setattr(ktf, "geo_kloosterman",
@@ -124,6 +138,26 @@ def test_ktf_report_json(tmp_path, capsys):
            - complex(*doc["spec_continuous"]))
     assert abs(lhs - rhs) < 1e-12
     assert "ratio_to_J_psi" in doc
+
+
+def test_ktf_spectral_data(tmp_path, capsys):
+    from ktf_kit.characters import DirichletCharacter
+    from ktf_kit.ktf import KtfRequest, cuspidal_from_data
+    from ktf_kit.transforms import TestFunction
+    good = tmp_path / "good.csv"
+    good.write_text(HEADER + "\n0.5,0,1,0.5,2,0,2.0,1,0\n")
+    argv = ["ktf", "--N", "101", "--h", "gaussian:1", "--spectral-data", str(good)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    req = KtfRequest(101, DirichletCharacter.principal(101), 1, 1, 1,
+                     TestFunction.parse("gaussian:1"))
+    v = cuspidal_from_data(req, load_spectral_data(str(good)))
+    assert json.loads(out)["spec_cuspidal_from_data"] == [v.real, v.imag]
+    assert v.imag != 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text(HEADER + "\n0.5,0,1,0,1,0,0.0,1,0\n")
+    code, _, err = run_cli(argv[:-1] + [str(bad)], capsys)
+    assert code == 4 and err.startswith("error: row 2")
 
 
 def test_load_spectral_data(tmp_path):

@@ -26,7 +26,6 @@ from ktf_kit.eisenstein import (
     riemann_zeta,
     sigma_s,
 )
-from ktf_kit.ktf import _L_line_vec
 
 TRIV1 = DirichletCharacter.principal(1)
 
@@ -84,15 +83,60 @@ def test_hurwitz_array_pole_and_long_rows():
 # (12, 0) is principal; (15, 1) is induced from a character mod 5
 @pytest.mark.parametrize("modulus, index", [(12, 0), (15, 1), (5, 1), (7, 2)])
 @settings(max_examples=10, deadline=None)
-@given(st.lists(st.floats(0.05, 12.0), min_size=1, max_size=8))
-def test_L_line_vec_matches_dirichlet_L(modulus, index, ts):
+@given(st.lists(st.floats(5e-4, 11.0), min_size=1, max_size=8))
+def test_dirichlet_L_array_matches_scalar(modulus, index, ts):
+    """L(1 + 2it) on an array equals the scalar calls and the Hurwitz sum over
+    the full modulus (deflated for a non-principal character)."""
     chi = enumerate_characters(modulus)[index]
     assert chi.is_principal() == (modulus == 12)
-    ts = np.array(ts)
-    vals = _L_line_vec(chi, ts)
-    for t, v in zip(ts, vals):
-        ref = dirichlet_L(chi, 1 + 2j * t)
-        assert abs(v - ref) <= 1e-10 * max(1.0, abs(ref))
+    ss = 1 + 2j * np.array(ts)
+    vals = dirichlet_L(chi, ss)
+    assert vals.shape == ss.shape
+    assert np.array_equal(dirichlet_L_line(chi, np.array(ts)), vals)
+    for s, v in zip(ss, vals):
+        scalar = dirichlet_L(chi, s)
+        assert isinstance(scalar, complex)
+        assert abs(v - scalar) <= 1e-14 * abs(scalar)
+        ref = modulus ** -s * sum(chi(a) * hurwitz_zeta(s, a / modulus,
+                                                        deflate=not chi.is_principal())
+                                  for a in range(1, modulus + 1))
+        assert abs(v - ref) <= 1e-12 * abs(ref)
+
+
+def test_dirichlet_L_oracle_near_one():
+    """At t = 5e-4, |s - 1| = 1e-3: the deflated Hurwitz sum against mpmath."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    s = 1 + 2j * 5e-4
+    for chi in enumerate_characters(7)[1:]:
+        vals = [mp.mpc(0)] + [mp.expjpi(2 * mp.mpf(chi.angle(a).numerator)
+                                        / chi.angle(a).denominator) for a in range(1, 7)]
+        ref = complex(mp.dirichlet(mp.mpc(s.real, s.imag), vals))
+        assert abs(dirichlet_L(chi, s) - ref) <= 1e-13 * abs(ref)
+
+
+ELEMENTS = [e for N in (1, 5, 7, 12, 15)
+            for e in enumerate_basis(N, DirichletCharacter.principal(N))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ELEMENTS), st.integers(-12, 12), st.integers(1, 40),
+       st.lists(st.builds(complex, st.floats(-0.4, 2.0), st.floats(-12.0, 12.0)),
+                min_size=1, max_size=8))
+def test_sigma_lambda_array_match_scalar(e, m, n, ss):
+    assume(math.gcd(n, e.level) == 1)
+    if m == 0:
+        ss = [s + 1 for s in ss]  # sigma_s at m = 0 needs Re(s) > 1/2
+    sigmas = sigma_s(e, m, np.array(ss))
+    lams = lambda_n_eis(n, e.pair, np.array(ss))
+    assert sigmas.shape == lams.shape == (len(ss),)
+    for s, sig, lam in zip(ss, sigmas, lams):
+        scalar = sigma_s(e, m, s)
+        assert isinstance(scalar, complex)
+        assert abs(sig - scalar) <= 1e-14 * max(1.0, abs(scalar))
+        scalar = lambda_n_eis(n, e.pair, s)
+        assert isinstance(scalar, complex)
+        assert abs(lam - scalar) <= 1e-14 * max(1.0, abs(scalar))
 
 
 def test_L_nonreal_mod5_finite():

@@ -16,6 +16,7 @@ from ktf_kit.expsums import (
     quad_solution_count,
     s3_symmetry,
     salie_eval,
+    scan_queries,
     selberg_identity,
     twisted_kloosterman,
     weil_certificate,
@@ -232,3 +233,13 @@ def test_equivalence_scan_small():
     assert rep.max_dev_factored < 1e-9
     assert rep.max_dev_salie < 1e-9
     assert rep.weil_violations == 0
+
+
+def test_equivalence_scan_ratios_match_certificates():
+    rep = equivalence_scan(24, 6)
+    certs = [weil_certificate(q) for q in scan_queries(24, 6)]
+    assert rep.queries == len(certs)
+    assert rep.max_ratio_bound1 == pytest.approx(max(abs(c.value) / c.bound1 for c in certs),
+                                                 abs=1e-9)
+    assert rep.max_ratio_bound2 == pytest.approx(max(abs(c.value) / c.bound2 for c in certs),
+                                                 abs=1e-9)

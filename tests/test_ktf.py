@@ -11,6 +11,7 @@ from ktf_kit.eisenstein import enumerate_basis, hurwitz_zeta
 from ktf_kit.ktf import (
     KtfRequest,
     SpectralDatum,
+    _continuous_t_grid,
     _jint_cache,
     classical_crosscheck,
     cuspidal_from_data,
@@ -22,7 +23,8 @@ from ktf_kit.ktf import (
     spec_continuous,
     t_predicate,
 )
-from ktf_kit.transforms import TestFunction, v_zero
+from ktf_kit.specfun import gl_panels
+from ktf_kit.transforms import TestFunction, get_pipeline, v_zero
 
 H = TestFunction.gaussian(1.0)
 
@@ -111,29 +113,37 @@ def test_geo_kloosterman_magnitude_trend():
 
 
 def test_spec_continuous_matches_classical_at_level_one():
-    """At N = 1 the term reduces to the sigma_{2it} / |zeta(1+2it)|^2 integrand."""
+    """At N = 1 the term reduces to the sigma_{2it} / |zeta(1+2it)|^2 integrand.
+
+    The classical integrand is also integrated on twice the panels; the
+    returned t_quadrature_error must cover that difference."""
     m1, m2 = 2, 3
     req = req_for(1, m1=m1, m2=m2)
-    v = spec_continuous(req, level=1)
-    from ktf_kit.ktf import _continuous_t_grid
-    grid = _continuous_t_grid(H, 1)
-    ts, ws = grid.ts, grid.ws
+    v, terr = spec_continuous(req)
+    ts, ws = _continuous_t_grid(H)
 
     def sigma_2it(m, t):
         return sum(d ** (2j * t) for d in arith.divisors(m))
 
     # exact reduction of the Theorem-main integrand: sigma_it(m) = m^{-2it}
     # sigma_{2it}(m), so the ratio factor appears as (m1/m2)^{-it}
-    integrand = np.array([
-        (m1 / m2) ** (-1j * t) * sigma_2it(m1, t) * np.conj(sigma_2it(m2, t))
-        / abs(hurwitz_zeta(1 + 2j * t, 1.0)) ** 2
-        for t in ts])
-    classical = np.sum(ws * np.real(np.asarray(H(ts))) * integrand) / math.pi
-    assert abs(v - classical) < 1e-10 * max(1.0, abs(v))
+    def classical(ts, ws):
+        integrand = np.array([
+            (m1 / m2) ** (-1j * t) * sigma_2it(m1, t) * np.conj(sigma_2it(m2, t))
+            / abs(hurwitz_zeta(1 + 2j * t, 1.0)) ** 2
+            for t in ts])
+        return np.sum(ws * np.real(np.asarray(H(ts))) * integrand) / math.pi
+
+    assert abs(v - classical(ts, ws)) < 1e-10 * max(1.0, abs(v))
+    # the same rule on [1e-6, T] with twice the panels, mirrored to t < 0
+    fine_ts, fine_ws = gl_panels(1e-6, get_pipeline(H).T, len(ts) // 16, 16)
+    fine = classical(np.concatenate([-fine_ts[::-1], fine_ts]),
+                     np.concatenate([fine_ws[::-1], fine_ws]))
+    assert abs(v - fine) <= terr < 1e-12
 
 
 def test_spec_continuous_real_for_equal_m():
-    v = spec_continuous(req_for(12, n=5, m1=2, m2=2))
+    v, _ = spec_continuous(req_for(12, n=5, m1=2, m2=2))
     assert abs(v.imag) < 1e-14
 
 
