@@ -551,7 +551,8 @@ def equivalence_scan(max_c: int, max_N: int, n_values: tuple[int, ...] = tuple(r
     """Compare direct, factored and Salie modes over the full deterministic grid.
 
     Direct values are computed in one complex matrix product per (c, N, n);
-    optionally certifies both Weil bounds on every query.
+    optionally certifies both Weil bounds on every query.  Violations count at
+    every c, the largest |S| / bound ratios only at c > 1 (at c = 1 both are 1).
     """
     from .characters import enumerate_characters
     count = 0
@@ -586,8 +587,9 @@ def equivalence_scan(max_c: int, max_N: int, n_values: tuple[int, ...] = tuple(r
                     # (n_chars, 2, n_ab): |S| / bound1 and |S| / bound2 per query
                     q = np.abs(direct)[:, None, :] / np.array(
                         [_weil_bounds(g, n, c, cchi) for cchi in conductors])
-                    r1 = max(r1, float(q[:, 0].max()))
-                    r2 = max(r2, float(q[:, 1].max()))
+                    if c > 1:
+                        r1 = max(r1, float(q[:, 0].max()))
+                        r2 = max(r2, float(q[:, 1].max()))
                     violations += int(np.count_nonzero((q > 1 + 1e-9).any(axis=1)))
     return ScanReport(count, worst_f, worst_s, violations, r1, r2)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +34,7 @@ from .eisenstein import (
     sigma_s,
 )
 from .expsums import KloostermanQuery, kloosterman
-from .specfun import gamma_complex, gl_panels, j2it_values
+from .specfun import gamma_complex, gl_integrate, gl_panels, j2it_values
 from .transforms import TestFunction, get_pipeline
 
 
@@ -50,7 +51,6 @@ class KtfRequest:
     m2: int
     h: TestFunction
     abs_tol: float = 1e-6   # Kloosterman-series truncation target, per unit psi(N)
-    rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.omega.modulus != self.N:
@@ -135,7 +135,7 @@ def t_predicate(m1: int, m2: int, n: int) -> tuple[int, int | None]:
 
 
 def h_tanh_integral(h: TestFunction) -> float:
-    """J = (1/pi^2) int_R h(t) tanh(pi t) t dt."""
+    """J = (1/pi^2) int_R h(t) tanh(pi t) t dt = (4/pi) V(0), see transforms.v_zero."""
     T = get_pipeline(h).T
     ts, ws = gl_panels(0.0, T, max(64, int(T * 6)), 16)
     vals = np.real(np.asarray(h(ts))) * np.tanh(np.pi * ts) * ts
@@ -185,9 +185,7 @@ class _JIntegralCache:
         return self._cache[x]
 
 
-@lru_cache(maxsize=16)
-def _jint_cache(h: TestFunction) -> _JIntegralCache:
-    return _JIntegralCache(h)
+_jint_cache = lru_cache(maxsize=16)(_JIntegralCache)
 
 
 # ----------------------------------------------------------------------------
@@ -204,8 +202,10 @@ def _divisor_tail(K: int, s: float) -> float:
     return head + ztail(root) * zeta_s
 
 
-def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000,
-                    return_terms: bool = False, window: int = 48):
+_TAIL_WINDOW = 48  # trailing partial sums whose spread is the tail_bound
+
+
+def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000, return_terms: bool = False):
     """(2i psi(N)/pi) sum over c in NZ+ of S(m2,m1;n;c)/c Jint(...), truncated.
 
     The terms only admit a slowly-decaying certified majorant (the Weil bound
@@ -220,7 +220,7 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000,
     tol_c = req.abs_tol * arith.psi(N)
     total = 0j
     terms = []
-    history: list[complex] = []
+    history: deque[complex] = deque(maxlen=_TAIL_WINDOW)
     k = 0
     tail = math.inf
     while True:
@@ -237,9 +237,7 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000,
         if return_terms:
             terms.append((c, term))
         history.append(total)
-        if len(history) > window:
-            history.pop(0)
-        if k >= max(64, window):
+        if k >= 64:
             tail = max(abs(t0 - total) for t0 in history)
             if tail < tol_c / 2:
                 break
@@ -252,24 +250,12 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000,
 # continuous spectral term
 
 
-_PANEL = 16  # Gauss-Legendre nodes per panel of the continuous-term grid
-
-
 @lru_cache(maxsize=32)
 def _continuous_t_grid(h: TestFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-T, -eps] and [eps, T], in Gauss-Legendre panels."""
+    """Nodes and weights on [-T, -eps] and [eps, T], in 16-node Gauss-Legendre panels."""
     T = get_pipeline(h).T
-    ts1, ws1 = gl_panels(1e-6, T, max(48, int(T * 10)), _PANEL)
+    ts1, ws1 = gl_panels(1e-6, T, max(48, int(T * 10)), 16)
     return np.concatenate([-ts1[::-1], ts1]), np.concatenate([ws1[::-1], ws1])
-
-
-@lru_cache(maxsize=1)
-def _legendre_tail() -> np.ndarray:
-    """(_PANEL, 2): a panel's values at its nodes -> its two highest Legendre
-    coefficients, by a_k = (2k + 1)/2 sum_i w_i P_k(x_i) f(x_i)."""
-    x, w = np.polynomial.legendre.leggauss(_PANEL)
-    k = np.arange(_PANEL - 2, _PANEL)
-    return w[:, None] * np.polynomial.legendre.legvander(x, _PANEL - 1)[:, k] * (2 * k + 1) / 2
 
 
 class _ContinuousContext:
@@ -298,18 +284,15 @@ class _ContinuousContext:
         return self._lambda[key]
 
 
-@lru_cache(maxsize=64)
-def _continuous_context(N: int, omega: DirichletCharacter, h: TestFunction) -> _ContinuousContext:
-    return _ContinuousContext(N, omega, h)
+_continuous_context = lru_cache(maxsize=64)(_ContinuousContext)
 
 
 def spec_continuous(req: KtfRequest) -> tuple[complex, float]:
     """Continuous-spectrum term of the trace formula and its t_quadrature_error.
 
     The integrand, summed over the basis elements, is integrated once on a
-    composite Gauss-Legendre grid.  The error is an estimate, not a bound:
-    half-width * max(|a14|, |a15|) summed over the 16-node panels, a14 and a15
-    being the integrand's two highest Legendre coefficients on the panel.
+    composite Gauss-Legendre grid; the error is gl_integrate's Legendre-tail
+    estimate, not a bound.
     """
     ctx = _continuous_context(req.N, req.omega, req.h)
     ratio = np.exp(1j * ctx.ts * math.log(req.m1 / req.m2)) if req.m1 != req.m2 else 1.0
@@ -317,10 +300,8 @@ def spec_continuous(req: KtfRequest) -> tuple[complex, float]:
     for e, norm, Labs2 in ctx.elements:
         integrand += (ctx.lam(e, req.n) * ctx.sigma(e, req.m1) * np.conj(ctx.sigma(e, req.m2))
                       * ratio * ctx.hv / (norm * Labs2))
-    half_widths = ctx.ws.reshape(-1, _PANEL).sum(axis=1) / 2
-    tail = np.abs(integrand.reshape(-1, _PANEL) @ _legendre_tail()).max(axis=1)
-    return (complex(np.sum(ctx.ws * integrand) / math.pi),
-            float(np.sum(half_widths * tail) / math.pi))
+    value, estimate = gl_integrate(integrand, ctx.ws)
+    return complex(value / math.pi), estimate / math.pi
 
 
 # ----------------------------------------------------------------------------
@@ -371,7 +352,7 @@ def classical_crosscheck(req: KtfRequest, k_terms: int = 40) -> dict[str, float]
     for ell, w, M1, M2 in _ell_decomposition(req):
         if w == 0:
             continue
-        sub = KtfRequest(req.N, req.omega, 1, M1, M2, req.h, req.abs_tol, req.rel_tol)
+        sub = KtfRequest(req.N, req.omega, 1, M1, M2, req.h, req.abs_tol)
         via += w * geo_main(sub)
     d_main = abs(direct_main - via) / max(1.0, abs(direct_main))
 
@@ -402,7 +383,7 @@ def classical_crosscheck(req: KtfRequest, k_terms: int = 40) -> dict[str, float]
     for ell, w, M1, M2 in _ell_decomposition(req):
         if w == 0:
             continue
-        sub = KtfRequest(req.N, req.omega, 1, M1, M2, req.h, req.abs_tol, req.rel_tol)
+        sub = KtfRequest(req.N, req.omega, 1, M1, M2, req.h, req.abs_tol)
         via_c += w * spec_continuous(sub)[0]
     d_cont = abs(direct_c - via_c) / max(1.0, abs(direct_c), abs(via_c))
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gl_panels, j2it_values
+from .specfun import gl_edges, gl_panels, j2it_values
 
 
 # ----------------------------------------------------------------------------
@@ -247,27 +247,22 @@ class SelbergPipeline:
             self._phi_cache[key] = gl_panels(0.0, self.T, panels, 16)
         return self._phi_cache[key]
 
-    def phi(self, y) -> np.ndarray:
-        """Phi(y) = (1/pi) int_0^inf h(r) cos(r log y) dr."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+    def _r_integral(self, y: np.ndarray, trig, power: int) -> np.ndarray:
+        """int_0^inf r^power h(r) trig(r log y) dr for every y, in blocks of 4096."""
         ly = np.log(y)
         r, w = self._r_nodes(float(np.max(np.abs(ly))))
-        hr = np.real(np.asarray(self.h(r)))
-        out = np.empty(len(y))
-        for i in range(0, len(y), 4096):
-            out[i:i + 4096] = np.cos(np.multiply.outer(ly[i:i + 4096], r)) @ (w * hr)
-        return out / math.pi
+        whr = w * r**power * np.real(np.asarray(self.h(r)))
+        return np.concatenate([trig(np.multiply.outer(ly[i:i + 4096], r)) @ whr
+                               for i in range(0, len(y), 4096)])
+
+    def phi(self, y) -> np.ndarray:
+        """Phi(y) = (1/pi) int_0^inf h(r) cos(r log y) dr."""
+        return self._r_integral(np.atleast_1d(np.asarray(y, dtype=float)), np.cos, 0) / math.pi
 
     def phi_prime(self, y) -> np.ndarray:
         """Phi'(y) = -(1/(pi y)) int_0^inf r h(r) sin(r log y) dr."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        ly = np.log(y)
-        r, w = self._r_nodes(float(np.max(np.abs(ly))))
-        hr = np.real(np.asarray(self.h(r)))
-        out = np.empty(len(y))
-        for i in range(0, len(y), 4096):
-            out[i:i + 4096] = np.sin(np.multiply.outer(ly[i:i + 4096], r)) @ (w * r * hr)
-        return -out / (math.pi * y)
+        return -self._r_integral(y, np.sin, 1) / (math.pi * y)
 
     def q_exact(self, u) -> np.ndarray:
         return self.phi(_y_of_u(u))
@@ -358,7 +353,7 @@ class SelbergPipeline:
 
 
 @lru_cache(maxsize=None)
-def _half_line_nodes(w_max: float, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def _half_line_nodes(w_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Geometric Gauss-Legendre panels on [0, w_max], dense near 0."""
     edges = [0.0]
     e = min(0.25, w_max / 8)
@@ -366,13 +361,7 @@ def _half_line_nodes(w_max: float, order: int = 16) -> tuple[np.ndarray, np.ndar
         edges.append(e)
         e *= 1.6
     edges.append(w_max)
-    xs_all, ws_all = [], []
-    x0, w0 = np.polynomial.legendre.leggauss(order)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs_all.append(mid + half * x0)
-        ws_all.append(half * w0)
-    return np.concatenate(xs_all), np.concatenate(ws_all)
+    return gl_edges(edges)
 
 
 @lru_cache(maxsize=None)
@@ -423,18 +412,20 @@ def roundtrip_sup_error(h: TestFunction, t_hi: float = 10.0, n: int = 41) -> flo
 
 
 def v_zero(h: TestFunction, route: str = "pipeline") -> float:
-    """V(0) by the stated route; 'integral' uses (1/4pi) int h(t) tanh(pi t) t dt."""
+    """V(0) by the stated route; 'integral' is (1/4pi) int h(t) tanh(pi t) t dt,
+    i.e. (pi/4) times ktf.h_tanh_integral."""
     if route == "pipeline":
         return get_pipeline(h).v0
     if route == "integral":
-        pipe = get_pipeline(h)
-        ts, ws = gl_panels(0.0, pipe.T, max(64, int(pipe.T * 4)), 16)
-        integrand = np.real(np.asarray(h(ts))) * np.tanh(np.pi * ts) * ts
-        return float(np.sum(ws * integrand) / (2.0 * math.pi))
+        from .ktf import h_tanh_integral  # ktf imports this module
+        return math.pi / 4.0 * h_tanh_integral(h)
     raise ValueError(f"unknown route {route!r}")
 
 
-def zagier_transform(h: TestFunction, t: float, n_panels: int = 2048) -> float:
+_ZAGIER_PANELS = 2048  # order-12 panels of zagier_transform's v-integral
+
+
+def zagier_transform(h: TestFunction, t: float) -> float:
     """Z(t) = iint_H V(|z^2 + 1 - t^2/4|^2 / y^2) dy/y dx.
 
     The double integral is evaluated through the exact level-set measure of
@@ -454,7 +445,7 @@ def zagier_transform(h: TestFunction, t: float, n_panels: int = 2048) -> float:
         return 0.0
     v0 = math.sqrt(max(0.0, 4.0 - t * t))
     v_hi = math.sqrt(V.u_max - (t * t - 4.0))
-    vs, ws = gl_panels(v0, v_hi, n_panels, 12)
+    vs, ws = gl_panels(v0, v_hi, _ZAGIER_PANELS, 12)
     return float(math.pi * np.sum(ws * V(vs * vs + t * t - 4.0)))
 
 

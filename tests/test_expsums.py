@@ -237,9 +237,12 @@ def test_equivalence_scan_small():
 
 def test_equivalence_scan_ratios_match_certificates():
     rep = equivalence_scan(24, 6)
-    certs = [weil_certificate(q) for q in scan_queries(24, 6)]
-    assert rep.queries == len(certs)
+    queries = list(scan_queries(24, 6))
+    assert rep.queries == len(queries)
+    # the ratios are reported over c > 1: at c = 1 every sum meets both bounds exactly
+    certs = [weil_certificate(q) for q in queries if q.c > 1]
     assert rep.max_ratio_bound1 == pytest.approx(max(abs(c.value) / c.bound1 for c in certs),
                                                  abs=1e-9)
     assert rep.max_ratio_bound2 == pytest.approx(max(abs(c.value) / c.bound2 for c in certs),
                                                  abs=1e-9)
+    assert rep.max_ratio_bound1 < 1.0 and rep.weil_violations == 0

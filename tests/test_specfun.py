@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 mp = pytest.importorskip("mpmath")
 
 from ktf_kit.specfun import (
-    Quadrature,
     bessel_J_2it,
     bessel_K,
     bessel_K_it,
     gamma_complex,
+    gl_edges,
+    gl_integrate,
+    gl_panels,
     j2it_values,
     k_squared_integral,
 )
@@ -111,11 +115,17 @@ def test_bessel_K_complex_order():
             assert abs(bessel_K(nu, x) - ref) <= 1e-9 * max(1e-12, abs(ref))
 
 
-@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 12.0])
 def test_k_squared_integral(t):
     val = k_squared_integral(t)
     ref = math.pi / (8 * math.cosh(math.pi * t))
     assert abs(val - ref) <= 1e-6 * ref
+
+
+def test_k_squared_integral_raises_where_its_estimate_stalls():
+    # K_it loses its relative accuracy at large t; the value is not returned
+    with pytest.raises(ArithmeticError, match="estimate"):
+        k_squared_integral(20.0)
 
 
 def test_bessel_J_series_values():
@@ -162,12 +172,44 @@ def test_j2it_ode_extension():
         assert abs(v - ref) <= 1e-8 * abs(ref)
 
 
-def test_quadrature_schemes():
-    for scheme in ("adaptive_gl", "tanh_sinh", "trapezoid"):
-        q = Quadrature(scheme, abs_tol=1e-10, rel_tol=1e-10)
-        val, err = q.integrate(lambda x: np.exp(-x * x), -8.0, 8.0)
-        assert abs(val - math.sqrt(math.pi)) < 1e-8
-    with pytest.raises(ValueError):
-        Quadrature("adaptive_gl", abs_tol=0.0).integrate(lambda x: x, 0, 1)
-    with pytest.raises(ValueError):
-        Quadrature("bogus").integrate(lambda x: x, 0, 1)
+# rounded to 6 decimals: subnormal draws would test the oracle's rounding, not the rule
+UNIT = st.floats(-1.0, 1.0).map(lambda c: round(c, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-5.0, 5.0), st.floats(0.5, 20.0), st.integers(1, 64),
+       st.lists(UNIT, min_size=1, max_size=32), UNIT.map(lambda u: 12.0 * abs(u)))
+def test_gl_integrate_exact_degree_and_estimate(a, length, panels, coeffs, omega_h):
+    b = a + length
+    xs, ws = gl_panels(a, b, panels)
+    # polynomial in s = (2x - a - b) / (b - a) in [-1, 1], degree <= 31
+    s = (2.0 * xs - a - b) / length
+    poly = np.polynomial.polynomial.polyval(s, coeffs)
+    exact = length / 2 * sum(2 * c / (k + 1) for k, c in enumerate(coeffs) if k % 2 == 0)
+    scale = length * sum(abs(c) for c in coeffs)
+    value, estimate = gl_integrate(poly, ws)
+    assert abs(value - exact) <= 1e-12 * scale
+    if len(coeffs) <= 14:  # degree <= 13: no Legendre tail on any panel
+        assert estimate <= 1e-13 * scale
+    # an oscillating integrand, resolved by the panels (omega times the panel
+    # half-width <= 12; coarser panels alias the Legendre tail): the estimate
+    # covers the error, up to rounding
+    omega = omega_h * 2 * panels / length
+    value, estimate = gl_integrate(np.cos(omega * xs), ws)
+    exact = length if omega == 0 else (math.sin(omega * b) - math.sin(omega * a)) / omega
+    assert abs(value - exact) <= estimate + 1e-13
+
+
+def test_gl_edges_uneven_panels():
+    xs, ws = gl_edges([0.0, 0.25, 1.0, 3.0])
+    assert len(xs) == 3 * 16 and np.all(np.diff(xs) > 0)
+    assert abs(np.sum(ws) - 3.0) < 1e-14
+    assert abs(np.sum(ws * xs**31) - 3.0**32 / 32) < 1e-12 * 3.0**32 / 32
+
+
+def test_import_builds_no_legendre_tables():
+    # the Legendre rules and the tail matrix are built on first use, not at import
+    code = "import sys, ktf_kit; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
