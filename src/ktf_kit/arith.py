@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -185,31 +187,28 @@ def unit_group(q: int) -> UnitGroupStructure:
     return UnitGroupStructure(q, p, k, (g,), (phi(q),))
 
 
+def carmichael(N: int) -> int:
+    """Exponent lambda(N) of (Z/N)^*: every character value mod N is e(k / lambda(N))."""
+    return math.lcm(*(o for p, k in factor(N) for o in unit_group(p**k).orders))
+
+
 @lru_cache(maxsize=None)
-def _unit_log_table(q: int) -> dict[int, tuple[int, ...]]:
-    """Full discrete-log table x -> exponent vector on unit_group(q).generators."""
+def _unit_log_table(q: int) -> np.ndarray:
+    """(q, r) int array: row x is the exponent vector of x on unit_group(q).generators.
+
+    Rows of non-units are zero.
+    """
     st = unit_group(q)
-    table: dict[int, tuple[int, ...]] = {}
-
-    def fill(vec, x):
-        table[x] = vec
-
-    # enumerate the group as products of generator powers
-    combos = [((), 1)]
+    # xs[i] = prod_j g_j^{e_j} with e the i-th exponent vector in C order
+    xs = np.ones(1, dtype=np.int64)
     for g, o in zip(st.generators, st.orders):
-        new = []
-        for vec, x in combos:
-            y = 1
-            for e in range(o):
-                new.append((vec + (e,), x * _powmod(g, e, q) % q))
-        combos = [(v, x) for v, x in new]
-    for vec, x in combos:
-        fill(vec, x)
+        powers = np.ones(o, dtype=np.int64)
+        for e in range(1, o):
+            powers[e] = powers[e - 1] * g % q
+        xs = (xs[:, None] * powers % q).reshape(-1)
+    table = np.zeros((q, len(st.orders)), dtype=np.int64)
+    table[xs] = np.indices(st.orders).reshape(len(st.orders), len(xs)).T
     return table
-
-
-def _powmod(b: int, e: int, m: int) -> int:
-    return pow(b, e, m) if m > 1 else 0
 
 
 def unit_log(x: int, q: int) -> tuple[int, ...]:
@@ -223,7 +222,7 @@ def unit_log(x: int, q: int) -> tuple[int, ...]:
         return ()
     if math.gcd(x, st.prime) != 1:
         raise ValueError(f"{x} is not a unit modulo {q}")
-    return _unit_log_table(q)[x]
+    return tuple(int(t) for t in _unit_log_table(q)[x])
 
 
 def unit_from_log(vec: tuple[int, ...], q: int) -> int:

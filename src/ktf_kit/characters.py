@@ -3,8 +3,10 @@
 A character mod N is stored as one exponent vector per prime power of N,
 taken against the canonical generators from :mod:`ktf_kit.arith`
 (smallest primitive root for odd p^k, {-1} x <5> for 2^k, k >= 3).
-Values are exact rational angles (fractions of a full turn) and become
-floating complex numbers only when a caller sums them.
+Every value on a unit is e(k / lambda(N)), where lambda(N) =
+``arith.carmichael(N)`` is the exponent of (Z/N)^*.  The integer k is the exact
+value (``angle``); it becomes a complex float only in ``chi(n)`` and
+``values()``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,22 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import arith
+
+
+def _local_angle(q: int, vec: tuple[int, ...], x, lam: int):
+    """k with chi_q(x) = e(k / lam), exactly; x an int or an int array of units mod q.
+
+    chi_q is the character of (Z/q)^*, q = p^j, with exponent vector vec, and
+    lam is a multiple of lambda(q): k = sum_i vec_i log_i(x) lam / order_i mod lam.
+    """
+    w = np.array([e * (lam // o) for e, o in zip(vec, arith.unit_group(q).orders)],
+                 dtype=np.int64)
+    return arith._unit_log_table(q)[np.asarray(x) % q] @ w % lam
 
 
 @dataclass(frozen=True)
@@ -52,28 +66,36 @@ class DirichletCharacter:
 
     # -- exact evaluation ------------------------------------------------------
 
-    def angle(self, n: int) -> Fraction | None:
-        """Exact angle a with chi(n) = e(a), or None when chi(n) = 0."""
-        N = self.modulus
-        if N == 1:
-            return Fraction(0)
-        n %= N
-        if math.gcd(n, N) != 1:
-            return None
-        total = Fraction(0)
+    def _angles(self, x):
+        """k with chi(x) = e(k / lambda(N)) for an int or int array x of units mod N."""
+        lam = arith.carmichael(self.modulus)
+        total = 0
         for p, vec in self.exponents:
-            q = self._ppart(p)
-            st = arith.unit_group(q)
-            logv = arith.unit_log(n % q, q)
-            for e, t, o in zip(vec, logv, st.orders):
-                total += Fraction(e * t, o)
-        return total % 1
+            total = total + _local_angle(self._ppart(p), vec, x, lam)
+        return total % lam
+
+    def angle(self, n: int) -> int | None:
+        """Exact value as k in [0, lambda(N)) with chi(n) = e(k / lambda(N)).
+
+        lambda(N) = arith.carmichael(N); None when gcd(n, N) > 1, where chi(n) = 0.
+        """
+        if math.gcd(n, self.modulus) != 1:
+            return None
+        return int(self._angles(n))
 
     def __call__(self, n: int) -> complex:
-        a = self.angle(n)
-        if a is None:
+        k = self.angle(n)
+        if k is None:
             return 0j
-        return cmath.exp(2j * cmath.pi * float(a))
+        return cmath.exp(2j * cmath.pi * (k / arith.carmichael(self.modulus)))
+
+    def values(self) -> np.ndarray:
+        """chi(x) for x = 0..N-1 as one complex array, 0 off the units."""
+        N = self.modulus
+        units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)
+        out = np.zeros(N, dtype=complex)
+        out[units] = np.exp(2j * np.pi * (self._angles(units) / arith.carmichael(N)))
+        return out
 
     # -- algebra ----------------------------------------------------------------
 
@@ -122,11 +144,24 @@ class DirichletCharacter:
 
     @staticmethod
     def from_json(text: str) -> "DirichletCharacter":
+        """Inverse of to_json; ValueError unless the data is canonical.
+
+        The entries must list the prime powers of the modulus in order, each
+        exponent in [0, order) of its generator.
+        """
         obj = json.loads(text)
-        chi = DirichletCharacter(
-            obj["modulus"],
-            tuple((p, tuple(vec)) for p, _k, vec in obj["exponents"]),
-        )
+        N, entries = obj["modulus"], obj["exponents"]
+        if not isinstance(N, int) or N < 1:
+            raise ValueError(f"modulus must be a positive integer, got {N!r}")
+        if [(p, k) for p, k, _vec in entries] != list(arith.factor(N).pairs):
+            raise ValueError(f"exponent data {entries} does not match the prime powers of {N}")
+        for p, k, vec in entries:
+            orders = arith.unit_group(p**k).orders
+            if len(vec) != len(orders) or not all(
+                    isinstance(e, int) and 0 <= e < o for e, o in zip(vec, orders)):
+                raise ValueError(f"exponents {vec} mod {p}^{k} outside [0, order) "
+                                 f"for generator orders {orders}")
+        chi = DirichletCharacter(N, tuple((p, tuple(vec)) for p, _k, vec in entries))
         if chi.conductor != obj["conductor"]:
             raise ValueError("conductor mismatch in serialized character")
         return chi
@@ -134,27 +169,16 @@ class DirichletCharacter:
 
 @lru_cache(maxsize=None)
 def _conductor_local(q: int, vec: tuple[int, ...]) -> int:
-    """Conductor of the character on (Z/q)^* with exponent vector vec (q = p^k)."""
+    """Conductor of the character on (Z/q)^* with exponent vector vec (q = p^k).
+
+    The least p^j, j >= 1, with the character trivial on 1 + p^j Z.
+    """
     if all(e == 0 for e in vec):
         return 1
     (p, k), = arith.factor(q).pairs
-    st = arith.unit_group(q)
-    # smallest j >= 1 with chi trivial on units congruent to 1 mod p^j
-    for j in range(1, k + 1):
-        pj = p**j
-        ok = True
-        for x in range(1, q, pj):
-            if math.gcd(x, p) != 1:
-                continue
-            logv = arith.unit_log(x, q)
-            tot = Fraction(0)
-            for e, t, o in zip(vec, logv, st.orders):
-                tot += Fraction(e * t, o)
-            if tot % 1 != 0:
-                ok = False
-                break
-        if ok:
-            return pj
+    for j in range(1, k):
+        if not _local_angle(q, vec, np.arange(1, q, p**j), arith.carmichael(q)).any():
+            return p**j
     return q
 
 
@@ -192,29 +216,17 @@ def induce(chi: DirichletCharacter, M: int) -> DirichletCharacter:
         raise ValueError(f"cannot induce: conductor {c} does not divide {M}")
     out = []
     for p, k in arith.factor(M):
-        q = p**k
-        st = arith.unit_group(q)
+        st = arith.unit_group(p**k)
         if c % p != 0:
             out.append((p, (0,) * len(st.generators)))
             continue
-        # determine exponents from values on the generators of (Z/p^k)^*
-        vec = []
-        for g, o in zip(st.generators, st.orders):
-            # lift g to an integer coprime to chi.modulus, congruent to g mod p^k
-            # and to 1 mod every other prime power of chi.modulus
-            res = [(g, q)]
-            for pp, kk in arith.factor(chi.modulus):
-                if pp != p:
-                    res.append((1, pp**kk))
-            x, _ = arith.crt(res)
-            a = chi.angle(x)
-            if a is None:  # pragma: no cover - x is a unit by construction
-                raise AssertionError("lift not a unit")
-            e = a * o
-            if e.denominator != 1:
-                raise ValueError("character does not descend: invalid induction")
-            vec.append(int(e) % o)
-        out.append((p, tuple(vec)))
+        # exponents from the values of chi's p-part on the generators of (Z/p^k)^*
+        q = chi._ppart(p)
+        lam = arith.carmichael(q)
+        e = _local_angle(q, chi._vec(p), np.array(st.generators, dtype=np.int64), lam) * st.orders
+        if np.any(e % lam):
+            raise ValueError(f"the character mod {q} does not descend to modulus {p**k}")
+        out.append((p, tuple(int(v) for v in e // lam)))
     return DirichletCharacter(M, tuple(out))
 
 
@@ -224,39 +236,15 @@ def local_component(chi: DirichletCharacter, p: int, M: int | None = None) -> Di
     M defaults to the p-part of chi's modulus; it must be a positive p-power
     divisible by the p-part of the conductor (and by p itself).
     """
+    q = chi._ppart(p)
     if M is None:
-        M = chi._ppart(p)
-        if M == 1:
-            M = p
+        M = q if q > 1 else p
     fac = arith.factor(M).pairs
     if len(fac) != 1 or fac[0][0] != p:
         raise ValueError(f"M = {M} is not a power of p = {p}")
-    cp = 1
-    if chi.modulus % p == 0:
-        cp = _conductor_local(chi._ppart(p), chi._vec(p))
-    if M % cp != 0 or M % p != 0:
-        raise ValueError(f"invalid local modulus {M}: needs p | M and {cp} | M")
-    st = arith.unit_group(M)
-    if chi.modulus % p != 0:
+    if q == 1:
         return DirichletCharacter.principal(M)
-    q = chi._ppart(p)
-    vec = []
-    for g, o in zip(st.generators, st.orders):
-        res = [(g, M)] if q <= M else [(g, q)]
-        # value only depends on g mod p^min(...); use a lift congruent mod both
-        gq = g % q
-        if math.gcd(gq, p) != 1:  # pragma: no cover
-            raise AssertionError
-        logv = arith.unit_log(gq, q)
-        stq = arith.unit_group(q)
-        a = Fraction(0)
-        for e, t, o2 in zip(chi._vec(p), logv, stq.orders):
-            a += Fraction(e * t, o2)
-        e = (a % 1) * o
-        if e.denominator != 1:
-            raise ValueError(f"local modulus {M} too small for conductor {cp}")
-        vec.append(int(e) % o)
-    return DirichletCharacter(M, ((p, tuple(vec)),))
+    return induce(DirichletCharacter(q, ((p, chi._vec(p)),)), M)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith
-from .characters import CharacterPair, DirichletCharacter, induce, local_component, pairs_with_product
-from .expsums import gauss_sum
+from .characters import CharacterPair, DirichletCharacter, induce, pairs_with_product
+from .expsums import _chi_values, gauss_sum
 from .specfun import bessel_K, gamma_complex, gl_panels
 
 # ----------------------------------------------------------------------------
@@ -184,19 +184,15 @@ class EisensteinBasisElement:
 
     @property
     def constant(self) -> complex:
-        """C_{(i_p)} = prod_{p | N1} conj(chi_{1p}(M / p^{i_p})), unimodular."""
-        ang = Fraction(0)
+        """C_{(i_p)} = prod_{p | N1} conj(chi_{1p}(M / p^{i_p})), unimodular.
+
+        That is conj(chi1(x)) for x = M / p^{i_p} mod each p^k || N: chi_{1p} is
+        trivial where p does not divide N1 (i_p = k forces p not to divide c1).
+        """
         N = self.level
-        for p, i in self.tuple_ip:
-            k = arith.ord_p(N, p)
-            if i == k:  # p does not divide N1
-                continue
-            loc = local_component(self.pair.chi1, p, p**k)
-            a = loc.angle(self.M // p**i)
-            if a is None:  # pragma: no cover - argument is prime to p
-                raise AssertionError
-            ang -= a
-        return cmath.exp(2j * cmath.pi * float(ang % 1))
+        x, _ = arith.crt([(self.M // p**i, p ** arith.ord_p(N, p)) for p, i in self.tuple_ip])
+        lam = arith.carmichael(N)
+        return cmath.exp(2j * cmath.pi * (-self.pair.chi1.angle(x) % lam / lam))
 
     @property
     def norm_sq(self) -> Fraction:
@@ -332,7 +328,7 @@ def _row_sum(c: int, x: float, y: float, rho: complex, chi2p: DirichletCharacter
     lo = int(math.floor(-c * x - D))
     hi = int(math.ceil(-c * x + D))
     d = np.arange(lo, hi + 1)
-    vals = np.array([chi2p(int(a)) for a in range(N2)]) if N2 > 1 else np.array([1.0 + 0j])
+    vals = _chi_values(chi2p)
     w = vals[d % N2]
     base = (d + c * x) ** 2 + gam * gam
     total = complex(np.sum(w * np.exp(-rho * np.log(base))))
@@ -348,7 +344,7 @@ def _row_sum(c: int, x: float, y: float, rho: complex, chi2p: DirichletCharacter
         return (-2 * rho) * ((-2 * rho - 2) * (-2 * rho - 4) * u**3 * g2 ** (-rho - 3)
                              + 3 * (-2 * rho - 2) * u * g2 ** (-rho - 2)) / 4.0
     for a in range(N2):
-        wa = vals[a % N2] if N2 > 1 else 1.0
+        wa = vals[a]
         if wa == 0:
             continue
         for sign in (+1, -1):
@@ -399,7 +395,7 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
                 continue
             F += w1 * _row_sum(M * ct, x, y, rho, chi2p)
         # polynomial tail from the row integrals (nonzero only for principal chi2')
-        W2 = sum(e.chi2p(a) for a in range(e.N2)) if e.N2 > 1 else 1.0
+        W2 = complex(np.sum(_chi_values(chi2p)))
         if abs(W2) > 1e-15:
             I0 = 2.0 * _asymptotic_J(rho, 0.0)
             tail = 0j
@@ -411,7 +407,7 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
                 q0 = (a + e.N1 * k0) / e.N1
                 tail += w1 * (hurwitz_zeta(2 * s, q0) * cmath.exp(-2 * s * math.log(e.N1)))
             F += (W2 / e.N2) * I0 * cmath.exp((1 - 2 * rho) * math.log(M * y)) * tail
-        return cmath.exp((0.5 + s) * math.log(y)) * (chi10 + F / denL)
+        return complex(cmath.exp((0.5 + s) * math.log(y)) * (chi10 + F / denL))
 
     if mode != "fourier":
         raise ValueError(f"unknown mode {mode!r}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -53,17 +52,8 @@ def _pairs(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _chi_values(chi: DirichletCharacter) -> np.ndarray:
-    """chi(x) for x = 0..N-1 (exact angles, one complex conversion)."""
-    N = chi.modulus
-    out = np.zeros(N if N > 1 else 1, dtype=complex)
-    if N == 1:
-        out[0] = 1.0
-        return out
-    for x in range(N):
-        a = chi.angle(x)
-        if a is not None:
-            out[x] = np.exp(2j * np.pi * float(a))
-    return out
+    """chi.values(), cached: chi(x) for x = 0..N-1."""
+    return chi.values()
 
 
 @lru_cache(maxsize=None)
@@ -254,20 +244,13 @@ def twisted_kloosterman(a: int, b: int, q: int, chi: DirichletCharacter,
 # Salie / stationary-phase evaluation
 
 
-def _char_angle_frac(chi: DirichletCharacter, x: int) -> Fraction:
-    a = chi.angle(x)
-    if a is None:
-        raise ValueError("character vanishes where a root of unity was expected")
-    return a
-
-
 def _salie_B_even(chi: DirichletCharacter, p: int, alpha: int) -> int:
     """B with conj(chi(1 + z p^alpha)) = e(Bz / p^alpha), ell = 2 alpha."""
-    ang = -_char_angle_frac(chi, 1 + p**alpha) % 1
-    B = ang * p**alpha
-    if B.denominator != 1:
+    lam = arith.carmichael(chi.modulus)
+    B, rem = divmod(-chi.angle(1 + p**alpha) % lam * p**alpha, lam)
+    if rem:
         raise ArithmeticError("inconsistent character angle in B extraction")
-    return int(B)
+    return B
 
 
 def _salie_B_odd(chi: DirichletCharacter, p: int, alpha: int) -> int | None:
@@ -278,21 +261,17 @@ def _salie_B_odd(chi: DirichletCharacter, p: int, alpha: int) -> int | None:
     """
     pa = p**alpha
     pa1 = p ** (alpha + 1)
-    ang = -_char_angle_frac(chi, (1 + pa1) % chi.modulus) % 1
-    B0 = ang * pa
-    if B0.denominator != 1:
+    lam = arith.carmichael(chi.modulus)
+    B0, rem = divmod(-chi.angle(1 + pa1) % lam * pa, lam)
+    if rem:
         return None
-    B0 = int(B0) % pa
+    # both sides as integers over the common denominator L
+    L = math.lcm(lam, pa1, 2 * p)
+    lhs = [-chi.angle(1 + z * pa) * (L // lam) % L for z in (1, 2, 3, p + 1)]
     for j in range(2 * p):
         B = B0 + j * pa
-        ok = True
-        for z in (1, 2, 3, p + 1):
-            lhs = -_char_angle_frac(chi, (1 + z * pa) % chi.modulus) % 1
-            rhs = (Fraction(B * z, pa1) + Fraction((p - 1) * B * z * z, 2 * p)) % 1
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
+        if all(lhs_z == (B * z * (L // pa1) + (p - 1) * B * z * z * (L // (2 * p))) % L
+               for lhs_z, z in zip(lhs, (1, 2, 3, p + 1))):
             return B
     return None
 

@@ -115,7 +115,9 @@ def _bessel_K_nodes(x_min: float, freq: float):
 def bessel_K_it(t: float, x) -> float | np.ndarray:
     """K_{it}(x) = int_0^inf exp(-x cosh u) cos(tu) du for x > 0; real-valued.
 
-    Absolute error below 1e-10 for x >= 1e-3, |t| <= 30.
+    Domain: x >= 2.7e-17, the smallest argument k_squared_integral passes
+    (2 pi e^{-40}).  Absolute error below 1e-10 for x >= 1e-3, |t| <= 30, and
+    below 1e-13 at x = 2.7e-17, 1e-11 and 1e-3 for t in {0, 0.5, 2, 10, 12}.
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0):
@@ -123,8 +125,8 @@ def bessel_K_it(t: float, x) -> float | np.ndarray:
     u, w = _bessel_K_nodes(float(np.min(xs)), abs(t))
     flat, wc = xs.reshape(-1), w * np.cos(t * u)
     out = np.empty(len(flat))
-    for i in range(0, len(flat), 1024):  # bounds the (x, u) block in memory
-        out[i:i + 1024] = np.exp(-np.multiply.outer(flat[i:i + 1024], np.cosh(u))) @ wc
+    for i in range(0, len(flat), 512):  # bounds the (x, u) block in memory
+        out[i:i + 512] = np.exp(-np.multiply.outer(flat[i:i + 512], np.cosh(u))) @ wc
     return float(out[0]) if np.isscalar(x) or xs.ndim == 0 else out.reshape(xs.shape)
 
 
@@ -154,14 +156,17 @@ _K2_REL_TOL = 1e-9  # k_squared_integral stops when its estimate is this far bel
 def k_squared_integral(t: float) -> float:
     """int_0^inf K_{it}(2 pi w)^2 dw, numerically (matches pi/(8 cosh(pi t))).
 
-    With w = e^v on v in [-26, 3], the panels double from 16 to 512 until the
+    With w = e^v on v in [-40, 3], the panels double from 16 to 512 until the
     gl_integrate estimate meets _K2_REL_TOL; ArithmeticError if it never does.
-    Verified for |t| <= 12 (relative error ~1e-11).  Above that K_it loses its
-    relative accuracy (~e^{-pi |t| / 2} out of cancelling O(1) terms) and the
-    estimate stalls (near 5e-9 at t = 14): the call raised at every t tried in [13, 30].
+    The range starts at -40 because at t = 0 the integrand decays only like
+    v^2 e^v as v -> -inf (the part below -26 is 8e-9 of the value).
+    Verified for |t| <= 13 (relative error 2e-14 at t = 0, below 1e-11 up to
+    t = 12.5).  Above that K_it loses its relative accuracy (~e^{-pi |t| / 2}
+    out of cancelling O(1) terms) and the estimate stalls: the call raises at
+    t = 13.5, 14 and 20.
     """
     for panels in (16, 32, 64, 128, 256, 512):
-        v, ws = gl_panels(-26.0, 3.0, panels)
+        v, ws = gl_panels(-40.0, 3.0, panels)
         w = np.exp(v)
         val, est = gl_integrate(bessel_K_it(t, 2 * np.pi * w) ** 2 * w, ws)
         if est <= _K2_REL_TOL * abs(val):

@@ -90,6 +90,16 @@ def test_unit_log_roundtrip_all_prime_powers():
                 assert arith.unit_from_log(vec, q) == x
 
 
+def test_carmichael_is_the_exponent_of_the_unit_group():
+    assert [arith.carmichael(N) for N in (1, 2, 4, 8, 16, 15, 101)] == [1, 1, 2, 2, 4, 4, 100]
+    for N in range(1, 301):
+        units = [x for x in range(N) if math.gcd(x, N) == 1]
+        lam = arith.carmichael(N)
+        assert all(pow(x, lam, N) == 1 % N for x in units)
+        # no proper divisor lam / r is an exponent
+        assert all(any(pow(x, lam // r, N) != 1 % N for x in units) for r, _ in arith.factor(lam))
+
+
 def test_unit_group_two_power_structure():
     st = arith.unit_group(16)
     assert st.generators == (15, 5)

@@ -1,6 +1,11 @@
+import cmath
+import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ktf_kit import arith
 from ktf_kit.characters import (
@@ -11,6 +16,7 @@ from ktf_kit.characters import (
     local_component,
     pairs_with_product,
 )
+from ktf_kit.expsums import gauss_sum
 
 
 def test_counts_and_conductors():
@@ -134,3 +140,110 @@ def test_pair_dimension_positive():
 def test_json_roundtrip():
     for chi in enumerate_characters(24):
         assert DirichletCharacter.from_json(chi.to_json()) == chi
+
+
+def test_from_json_rejects_non_canonical_data():
+    bad = [
+        {"modulus": 5, "conductor": 5, "exponents": [[5, 1, [5]]]},  # 5 >= order 4
+        {"modulus": 5, "conductor": 5, "exponents": [[5, 1, [-3]]]},
+        {"modulus": 6, "conductor": 1, "exponents": [[5, 1, [0]]]},  # 5 does not divide 6
+        {"modulus": 9, "conductor": 1, "exponents": [[3, 1, [0]]]},  # k != ord_3(9)
+        {"modulus": 8, "conductor": 1, "exponents": [[2, 3, [0]]]},  # (Z/8)^* has two generators
+        {"modulus": 0, "conductor": 1, "exponents": []},
+    ]
+    for obj in bad:
+        with pytest.raises(ValueError):
+            DirichletCharacter.from_json(json.dumps(obj))
+    good = {"modulus": 5, "conductor": 5, "exponents": [[5, 1, [1]]]}
+    assert DirichletCharacter.from_json(json.dumps(good)) == enumerate_characters(5)[1]
+
+
+# ---------------------------------------------------------------- properties
+# N <= 2,000 with random exponents; the oracle is the exponent-log sum as exact
+# Fractions of a full turn, independent of the integer angles over lambda(N).
+
+
+def oracle_angle(chi, n):
+    """Fraction a in [0, 1) with chi(n) = e(a), or None off the units."""
+    N = chi.modulus
+    if math.gcd(n, N) != 1:
+        return None
+    total = Fraction(0)
+    for p, vec in chi.exponents:
+        q = p ** arith.ord_p(N, p)
+        for e, t, o in zip(vec, arith.unit_log(n % q, q), arith.unit_group(q).orders):
+            total += Fraction(e * t, o)
+    return total % 1
+
+
+@st.composite
+def characters(draw, N=None):
+    N = draw(st.integers(1, 2000)) if N is None else N
+    return DirichletCharacter(N, tuple(
+        (p, tuple(draw(st.integers(0, o - 1)) for o in arith.unit_group(p**k).orders))
+        for p, k in arith.factor(N)))
+
+
+def units_mod(N):
+    return st.integers(-3 * N, 3 * N).filter(lambda n: math.gcd(n, N) == 1)
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY
+@given(characters(), st.data())
+def test_values_match_the_fraction_oracle(chi, data):
+    N, lam = chi.modulus, arith.carmichael(chi.modulus)
+    table = chi.values()
+    for n in data.draw(st.lists(st.integers(-3 * N, 3 * N), min_size=1, max_size=8)):
+        a = oracle_angle(chi, n)
+        if a is None:
+            assert chi.angle(n) is None and chi(n) == 0 and table[n % N] == 0
+            continue
+        assert Fraction(chi.angle(n), lam) == a
+        assert chi(n) == cmath.exp(2j * cmath.pi * float(a))
+        assert table[n % N] == chi(n) == np.exp(2j * np.pi * float(a))
+
+
+@PROPERTY
+@given(characters(), st.data())
+def test_angles_add(chi, data):
+    N, lam = chi.modulus, arith.carmichael(chi.modulus)
+    other = data.draw(characters(N))
+    m, n = data.draw(units_mod(N)), data.draw(units_mod(N))
+    assert chi.angle(m * n) == (chi.angle(m) + chi.angle(n)) % lam
+    assert chi.conj().angle(n) == -chi.angle(n) % lam
+    assert chi.mul(other).angle(n) == (chi.angle(n) + other.angle(n)) % lam
+
+
+@PROPERTY
+@given(characters(), st.data())
+def test_induce_and_local_components(chi, data):
+    N = chi.modulus
+    assert induce(chi.primitive(), N) == chi
+    n = data.draw(units_mod(N))
+    total = Fraction(0)
+    for p, k in arith.factor(N):
+        total += Fraction(local_component(chi, p).angle(n), arith.carmichael(p**k))
+    assert total % 1 == Fraction(chi.angle(n), arith.carmichael(N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters())
+def test_conductor_is_least_modulus_of_triviality(chi):
+    N = chi.modulus
+
+    def trivial_on(d):
+        return all(chi.angle(x) == 0 for x in range(1, N + 1, d) if math.gcd(x, N) == 1)
+
+    assert chi.conductor == min(d for d in arith.divisors(N) if trivial_on(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(characters(), st.integers(-10**6, 10**6))
+def test_primitive_gauss_sum_has_abs_square_q(chi, m):
+    prim = chi.primitive()
+    q = prim.modulus
+    assume(math.gcd(m, q) == 1)
+    assert abs(abs(gauss_sum(prim, m)) ** 2 - q) <= 1e-11 * q

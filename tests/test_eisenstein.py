@@ -11,6 +11,7 @@ from ktf_kit.characters import (
     CharacterPair,
     DirichletCharacter,
     enumerate_characters,
+    local_component,
     pairs_with_product,
 )
 from ktf_kit.eisenstein import (
@@ -109,8 +110,8 @@ def test_dirichlet_L_oracle_near_one():
     mp.mp.dps = 40
     s = 1 + 2j * 5e-4
     for chi in enumerate_characters(7)[1:]:
-        vals = [mp.mpc(0)] + [mp.expjpi(2 * mp.mpf(chi.angle(a).numerator)
-                                        / chi.angle(a).denominator) for a in range(1, 7)]
+        vals = [mp.mpc(0)] + [mp.expjpi(2 * mp.mpf(chi.angle(a)) / arith.carmichael(7))
+                              for a in range(1, 7)]
         ref = complex(mp.dirichlet(mp.mpc(s.real, s.imag), vals))
         assert abs(dirichlet_L(chi, s) - ref) <= 1e-13 * abs(ref)
 
@@ -149,7 +150,7 @@ def test_L_nonreal_mod5_finite():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     eps = mp.mpf(10) ** -15
-    vals = {a: mp.expjpi(2 * mp.mpf(chi.angle(a).numerator) / chi.angle(a).denominator)
+    vals = {a: mp.expjpi(2 * mp.mpf(chi.angle(a)) / arith.carmichael(5))
             if chi.angle(a) is not None else mp.mpc(0) for a in range(1, 6)}
     s = 1 + eps
     ref = complex(sum(vals[a] * mp.zeta(s, mp.mpf(a) / 5) for a in range(1, 6)) * 5**-s)
@@ -204,6 +205,18 @@ def test_norms():
     for e in enumerate_basis(12, DirichletCharacter.principal(12)):
         assert e.norm_sq > 0
         assert abs(e.constant) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_constant_is_product_of_local_components():
+    for N in (12, 45, 72, 100):
+        for om in enumerate_characters(N):
+            for e in enumerate_basis(N, om):
+                ref = 1.0 + 0j
+                for p, i in e.tuple_ip:
+                    k = arith.ord_p(N, p)
+                    if i < k:
+                        ref *= np.conj(local_component(e.pair.chi1, p, p**k)(e.M // p**i))
+                assert abs(e.constant - ref) <= 1e-14
 
 
 def test_phi_fin_value():
