@@ -394,9 +394,10 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
             if w1 == 0:
                 continue
             F += w1 * _row_sum(M * ct, x, y, rho, chi2p)
-        # polynomial tail from the row integrals (nonzero only for principal chi2')
-        W2 = complex(np.sum(_chi_values(chi2p)))
-        if abs(W2) > 1e-15:
+        # polynomial tail from the row integrals, weighted by the sum W2 of chi2'
+        # over a period: phi(N2) for a principal chi2', and 0 otherwise
+        if chi2p.is_principal():
+            W2 = arith.phi(e.N2)
             I0 = 2.0 * _asymptotic_J(rho, 0.0)
             tail = 0j
             for a in range(1, e.N1 + 1):

@@ -159,28 +159,29 @@ def geo_main(req: KtfRequest) -> complex:
 class _JIntegralCache:
     """Jint(x) = int_R J_{2it}(x) h(t) t / cosh(pi t) dt on t-grids per h.
 
-    A grid keeps its row 1/Gamma(1 + 2it) for every x that uses it."""
+    A grid, keyed by its panel count, keeps its row 1/Gamma(1 + 2it) and its
+    ODE checkpoint path (see specfun._j2it_ode_extend) for every x that uses it."""
 
     def __init__(self, h: TestFunction):
         self.h = h
         self.T = get_pipeline(h).T
         self._cache: dict[float, complex] = {}
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list]] = {}
 
     def _grid(self, x: float):
         key = int(2.0 * (1.0 + abs(math.log(x / 2.0))))
-        if key not in self._grids:
-            width = min(0.25, 2.0 * math.pi / (4.0 * max(1.0, key / 2.0)))
-            panels = max(32, int(self.T / width))
+        width = min(0.25, 2.0 * math.pi / (4.0 * max(1.0, key / 2.0)))
+        panels = max(32, int(self.T / width))
+        if panels not in self._grids:
             ts, ws = gl_panels(0.0, self.T, panels, 16)
             hw = np.real(np.asarray(self.h(ts))) * ts / np.cosh(np.pi * ts) * ws
-            self._grids[key] = (ts, hw, 1.0 / gamma_complex(1 + 2j * ts))
-        return self._grids[key]
+            self._grids[panels] = (ts, hw, 1.0 / gamma_complex(1 + 2j * ts), [])
+        return self._grids[panels]
 
     def __call__(self, x: float) -> complex:
         if x not in self._cache:
-            ts, hw, rgamma = self._grid(x)
-            jv = j2it_values(ts, x, rgamma=rgamma)
+            ts, hw, rgamma, path = self._grid(x)
+            jv = j2it_values(ts, x, rgamma=rgamma, path=path)
             self._cache[x] = complex(2j * np.sum(np.imag(jv) * hw))
         return self._cache[x]
 

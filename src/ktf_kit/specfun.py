@@ -180,17 +180,19 @@ def k_squared_integral(t: float) -> float:
 
 J_SERIES_CUTOFF = 30.0
 J_SERIES_MAX_TERMS = 120
+_ODE_X0 = 6.0  # above this x, J_2it is continued by RK4 from series data here
+_ODE_STEP = 0.002
 
 
 def bessel_J_2it(t: float, x: float) -> complex:
     """J_{2it}(x) for 0 < x <= J_SERIES_CUTOFF, relative error ~1e-9.
 
     The power series is used where its cancellation stays harmless
-    (x <= 6); for 6 < x <= cutoff the value is continued by integrating
-    Bessel's equation from series data at x = 6, which preserves the stated
-    accuracy (the raw series loses ~e^x in float64).  Above the cutoff a
-    ValueError names the cutoff; larger arguments are reached internally by
-    the ktf module through :func:`j2it_values`.
+    (x <= _ODE_X0 = 6); for _ODE_X0 < x <= cutoff the value is continued by
+    integrating Bessel's equation from series data at _ODE_X0, which keeps
+    the stated accuracy (the raw series loses ~e^x in float64).  Above the
+    cutoff a ValueError names the cutoff; larger arguments are reached
+    internally by the ktf module through :func:`j2it_values`.
     """
     if x <= 0:
         raise ValueError("bessel_J_2it requires x > 0")
@@ -219,31 +221,46 @@ def _j_series(nu: np.ndarray, x: float, rgamma: np.ndarray | None = None) -> np.
     return total
 
 
-def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, x0: float = 6.0, step: float = 0.002,
-                     rgamma: np.ndarray | None = None) -> dict[float, np.ndarray]:
+def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, rgamma: np.ndarray | None = None,
+                     path: list | None = None) -> dict[float, np.ndarray]:
     """J_{2it}(x) beyond the safe series range by integrating Bessel's ODE.
 
-    Seeds at x0 with series values (cancellation-free there) and the exact
-    derivative J_nu' = (nu/x) J_nu - J_{nu+1}, then fixed-step RK4.  For
-    imaginary order the equation is oscillatory with bounded solutions, so
-    forward integration is stable.
+    Seeds at _ODE_X0 with series values (cancellation-free there) and the
+    exact derivative J_nu' = (nu/x) J_nu - J_{nu+1}, then fixed-step RK4 on
+    the lattice _ODE_X0 + k _ODE_STEP, with one partial step to each target.
+    For imaginary order the equation is oscillatory with bounded solutions,
+    so forward integration is stable.
+
+    path is a list of checkpoints (x, y, y') for these ts: the seed, then the
+    state at the first lattice point past each integer x.  A caller that
+    evaluates many x on one t-grid keeps one list with that grid; a target
+    then resumes from the last checkpoint at or below x - _ODE_STEP instead
+    of from the seed.  The values are bit-identical to a fresh sweep: the
+    checkpoints are lattice states, and the partial step to a target never
+    replaces a stored state.
     """
     ts = np.asarray(ts, dtype=float)
     nu = 2j * ts
     nu2 = nu * nu  # = -4 t^2
-    y = _j_series(nu, x0, rgamma)
-    yp = (nu / x0) * y - _j_series(nu + 1, x0)
+    if path is None:
+        path = []
+    if not path:
+        y = _j_series(nu, _ODE_X0, rgamma)
+        path.append((_ODE_X0, y, (nu / _ODE_X0) * y - _j_series(nu + 1, _ODE_X0)))
 
     def rhs(x, y, yp):
         return yp, -(yp / x) - (1.0 - nu2 / (x * x)) * y
 
     out: dict[float, np.ndarray] = {}
-    x = x0
     for xt in np.sort(x_targets):
-        if xt < x0:
+        if xt < _ODE_X0:
             raise ValueError("ODE extension only goes upward from the seed")
+        i = len(path) - 1
+        while i > 0 and xt - path[i][0] < _ODE_STEP:  # no full step from path[i] to xt
+            i -= 1
+        x, y, yp = path[i]
         while x < xt - 1e-12:
-            h = min(step, xt - x)
+            h = min(_ODE_STEP, xt - x)
             k1y, k1p = rhs(x, y, yp)
             k2y, k2p = rhs(x + h / 2, y + h / 2 * k1y, yp + h / 2 * k1p)
             k3y, k3p = rhs(x + h / 2, y + h / 2 * k2y, yp + h / 2 * k2p)
@@ -251,17 +268,21 @@ def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, x0: float = 6.0, ste
             y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
             yp = yp + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
             x += h
+            if h == _ODE_STEP and int(x) > int(path[-1][0]):
+                path.append((x, y, yp))
         out[float(xt)] = y.copy()
     return out
 
 
-def j2it_values(ts: np.ndarray, x: float, rgamma: np.ndarray | None = None) -> np.ndarray:
+def j2it_values(ts: np.ndarray, x: float, rgamma: np.ndarray | None = None,
+                path: list | None = None) -> np.ndarray:
     """J_{2it}(x) on an array of t, choosing series or ODE continuation.
 
-    rgamma, if given, is 1/Gamma(1 + 2it) on ts, which a caller that
-    evaluates many x on one fixed t-grid keeps with that grid.
+    A caller that evaluates many x on one fixed t-grid keeps with that grid
+    rgamma, 1/Gamma(1 + 2it) on ts, and path, the ODE checkpoint list of
+    _j2it_ode_extend (start it as []).
     """
     ts = np.asarray(ts, dtype=float)
-    if x <= 6.0:
+    if x <= _ODE_X0:
         return _j_series(2j * ts, x, rgamma)
-    return _j2it_ode_extend(ts, np.array([x]), rgamma=rgamma)[float(x)]
+    return _j2it_ode_extend(ts, np.array([x]), rgamma=rgamma, path=path)[float(x)]

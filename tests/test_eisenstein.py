@@ -310,6 +310,30 @@ def test_direct_vs_fourier(N, s):
             assert abs(d - f) <= 1e-6 * abs(f)
 
 
+def test_direct_tail_only_for_principal_chi2p(monkeypatch):
+    # the row tail is weighted by the sum of chi2' over a period, which is
+    # phi(N2) for a principal chi2' and exactly 0 otherwise
+    from ktf_kit import eisenstein
+    s, z = 0.75 + 0.3j, 0.3 + 0.8j
+    # principal chi2': values pinned from the floating sum of chi2' values
+    for N, k, pinned in ((4, 1, 0.2988930225023455 - 0.36754007263115374j),
+                         (9, 1, 0.14986297193279885 - 0.3448428350438663j)):
+        e = enumerate_basis(N, DirichletCharacter.principal(N))[k]
+        assert e.chi2p.is_principal() and e.N1 > 1 and e.N2 > 1
+        assert eisenstein_eval(e, s, z, "direct") == pinned
+    # non-principal chi2' whose floating sum of values is 1.6e-15, not 0:
+    # no Hurwitz zeta at 2s (the tail) may be evaluated, only L(1 + 2s)
+    orders = []
+    hz = eisenstein.hurwitz_zeta
+    monkeypatch.setattr(eisenstein, "hurwitz_zeta",
+                        lambda s_, q, **kw: orders.append(s_) or hz(s_, q, **kw))
+    even = [c for c in enumerate_characters(13) if abs(c(-1) - 1) < 1e-9]
+    e = enumerate_basis(13, even[2])[0]
+    assert not e.chi2p.is_principal()
+    eisenstein_eval(e, s, z, "direct")
+    assert orders and all(o == 1 + 2 * s for o in orders)
+
+
 def test_periodicity():
     e = enumerate_basis(5, DirichletCharacter.principal(5))[1]
     a = eisenstein_eval(e, 0.85, 0.2 + 0.9j, "fourier")

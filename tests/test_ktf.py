@@ -77,8 +77,9 @@ def test_geo_main_character_at_m1_over_b():
 
 # Jint(x) = int J_{2it}(x) h(t) t / cosh(pi t) dt for gaussian:1 is purely
 # imaginary; these imaginary parts were computed with one scalar Lanczos Gamma
-# call per t-node.  4 pi / c for c = 101, 1009, 30000 are Kloosterman-term
-# arguments, 0.5, 3.0, 5.9 run the J-series and 7.5 the ODE continuation.
+# call per t-node (12.0 and 6 pi by a fresh ODE sweep per x).  4 pi / c for
+# c = 101, 1009, 30000 are Kloosterman-term arguments, 0.5, 3.0, 5.9 run the
+# J-series and 7.5, 12.0, 6 pi the ODE continuation.
 JINT_GAUSSIAN_1 = [
     (4 * math.pi / 101, -0.0786026261613868),
     (4 * math.pi / 1009, -0.007994507042636143),
@@ -87,6 +88,8 @@ JINT_GAUSSIAN_1 = [
     (3.0, 0.34039250126921533),
     (5.9, -0.28198862617068116),
     (7.5, 0.037167245793310315),
+    (12.0, -0.20927813486868893),
+    (6 * math.pi, -0.1329238570901982),
 ]
 
 
@@ -95,6 +98,18 @@ def test_jint_pinned_values(x, im):
     v = _jint_cache(TestFunction.parse("gaussian:1"))(x)
     assert v.real == 0
     assert abs(v.imag - im) <= 1e-13 * abs(im)
+
+
+def test_jint_ode_arguments_share_one_grid():
+    # x = 7, 10, 15 have different log(x/2) keys (4, 5, 6) but the same
+    # panel count, so one t-grid, one 1/Gamma row and one ODE path serve them
+    _jint_cache.cache_clear()
+    jint = _jint_cache(TestFunction.parse("gaussian:1"))
+    for x in (7.0, 10.0, 15.0):
+        jint(x)
+    assert len(jint._grids) == 1
+    (path_len,) = [len(path) for _, _, _, path in jint._grids.values()]
+    assert path_len == 1 + 8  # the seed at x = 6, a checkpoint past each of 7, ..., 14
 
 
 def test_geo_kloosterman_real_for_equal_m():

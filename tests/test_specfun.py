@@ -181,6 +181,25 @@ def test_j2it_ode_extension():
         assert abs(v - ref) <= 1e-8 * abs(ref)
 
 
+# x in (6, 30]: anywhere, on an integer, or on or near the RK4 lattice 6 + k * 0.002
+ODE_X = st.one_of(st.floats(6.0, 30.0, exclude_min=True), st.integers(7, 30).map(float),
+                  st.integers(1, 12000).map(lambda k: 6.0 + 0.002 * k))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(ODE_X, min_size=1, max_size=4))
+def test_ode_path_is_bit_identical_to_fresh_sweeps(xs):
+    # one checkpoint path shared by targets in any order gives exactly the
+    # values of a fresh sweep from the seed, and holds one state per unit of x
+    ts = np.array([0.01, 0.7, 3.0])
+    rgamma = 1.0 / gamma_complex(1 + 2j * ts)
+    path = []
+    for x in xs:
+        shared = j2it_values(ts, x, rgamma=rgamma, path=path)
+        assert np.array_equal(shared, j2it_values(ts, x))
+    assert len(path) <= math.floor(max(xs)) - 4
+
+
 # rounded to 6 decimals: subnormal draws would test the oracle's rounding, not the rule
 UNIT = st.floats(-1.0, 1.0).map(lambda c: round(c, 6))
 
