@@ -32,7 +32,11 @@ class Factorization:
         return tuple(p for p, _ in self.pairs)
 
 
-@lru_cache(maxsize=None)
+# A c-series factors each of its moduli c once, so only recent factorizations are kept.
+_FACTOR_CACHE = 1 << 12
+
+
+@lru_cache(maxsize=_FACTOR_CACHE)
 def factor(n: int) -> Factorization:
     """Factor n >= 1 by trial division; n = 1 gives the empty product."""
     if n < 1:

@@ -11,8 +11,9 @@ agree exactly.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -24,7 +25,46 @@ from .characters import DirichletCharacter, local_component
 # phase tables and pair enumeration
 
 
-@lru_cache(maxsize=None)
+_TABLE_BUDGET = 1 << 19       # residues held by each table cache: 8 MB for _phase or _units
+_INT64_SQRT = math.isqrt(2**63 - 1)   # largest q with q^2 < 2^63
+
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+def _table_cache(build):
+    """Cache the O(q) tables build(q) by modulus q, at most _TABLE_BUDGET residues in all.
+
+    A small modulus recurs in most terms of a c-series, while a table for a
+    large prime modulus is read once or twice and rebuilding it costs what the
+    O(q) sum reading it costs.  So an overfull cache drops its largest tables
+    first, down to the budget; a table larger than the budget is returned and
+    not kept.  ``cache_info()`` reads like that of ``functools.lru_cache``,
+    with the budget as ``maxsize``.
+    """
+    tables: dict[int, object] = {}
+    size = hits = misses = 0
+
+    @wraps(build)
+    def cached(q: int):
+        nonlocal size, hits, misses
+        table = tables.get(q)
+        if table is not None:
+            hits += 1
+            return table
+        misses += 1
+        table = tables[q] = build(q)
+        size += q
+        while size > _TABLE_BUDGET:
+            largest = max(tables)
+            del tables[largest]
+            size -= largest
+        return table
+
+    cached.cache_info = lambda: _CacheInfo(hits, misses, _TABLE_BUDGET, len(tables))
+    return cached
+
+
+@_table_cache
 def _phase(c: int) -> np.ndarray:
     """e(j/c) for j = 0..c-1."""
     return np.exp(2j * np.pi * np.arange(c) / c)
@@ -56,13 +96,34 @@ def _chi_values(chi: DirichletCharacter) -> np.ndarray:
     return chi.values()
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Units mod q and their inverses."""
+    """Units x mod q in increasing order and their inverses, as two int64 arrays.
+
+    The units are np.arange(q) masked by the primes of q, and the inverses are
+    x^(phi(q) - 1) mod q by square-and-multiply on the whole array.  Every
+    product is below q^2, so the domain is q^2 < 2^63 (q <= 3037000499), and a
+    larger q raises ValueError; the c-series stops at c_cap = 1.5e6, far inside
+    it.  The tables of recent moduli are kept, at most _TABLE_BUDGET = 2^19
+    residues in all (8 MB), dropping the largest moduli first.
+    """
     if q == 1:
         return np.array([0]), np.array([0])
-    xs = np.array([x for x in range(q) if math.gcd(x, q) == 1], dtype=np.int64)
-    inv = np.array([pow(int(x), -1, q) for x in xs], dtype=np.int64)
+    if q > _INT64_SQRT:
+        raise ValueError(f"unit table needs q^2 < 2^63, got q = {q}")
+    mask = np.ones(q, dtype=bool)
+    for p in arith.factor(q).primes():
+        mask[::p] = False
+    xs = np.flatnonzero(mask)
+    inv = np.ones_like(xs)
+    base = xs.copy()
+    e = arith.phi(q) - 1
+    while e:
+        if e & 1:
+            np.remainder(inv * base, q, out=inv)
+        e >>= 1
+        if e:
+            np.remainder(base * base, q, out=base)
     return xs, inv
 
 
@@ -213,9 +274,12 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
     return complex(total)
 
 
-@lru_cache(maxsize=None)
 def _classical_kloosterman(a: int, b: int, q: int) -> complex:
-    """S(a, b; q) over units, principal character."""
+    """S(a, b; q) over units, principal character.
+
+    Not cached: kloosterman_local caches the local factors that call it, and a
+    c-series seldom asks for the same S(a, b; q) twice.
+    """
     if q == 1:
         return 1.0 + 0j
     xs, inv = _units(q)

@@ -219,15 +219,16 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000, return_terms: bool = 
     A = 4.0 * math.pi * math.sqrt(n * m1 * m2)
     pref = 2j * arith.psi(N) / math.pi
     tol_c = req.abs_tol * arith.psi(N)
+    half_tol = tol_c / 2
     total = 0j
     terms = []
     history: deque[complex] = deque(maxlen=_TAIL_WINDOW)
     k = 0
-    tail = math.inf
     while True:
         k += 1
         c = k * N
         if c > c_cap:
+            tail = max(abs(t0 - total) for t0 in history) if k > 64 else math.inf
             raise ArithmeticError(
                 f"c-sum not converged by c = {c_cap}: partial-sum spread {tail:.3e} "
                 f"above tolerance {tol_c:.3e}")
@@ -238,10 +239,10 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000, return_terms: bool = 
         if return_terms:
             terms.append((c, term))
         history.append(total)
-        if k >= 64:
-            tail = max(abs(t0 - total) for t0 in history)
-            if tail < tol_c / 2:
-                break
+        # one partial sum at distance >= half_tol already means "not converged"
+        if k >= 64 and all(abs(t0 - total) < half_tol for t0 in history):
+            break
+    tail = max(abs(t0 - total) for t0 in history)
     if return_terms:
         return total, tail, k, terms
     return total, tail, k

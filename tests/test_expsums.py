@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ktf_kit import arith
-from ktf_kit.characters import DirichletCharacter, enumerate_characters
+from ktf_kit import arith, expsums
+from ktf_kit.characters import DirichletCharacter, enumerate_characters, induce
 from ktf_kit.expsums import (
     KloostermanQuery,
     equivalence_scan,
@@ -23,6 +25,18 @@ from ktf_kit.expsums import (
 )
 
 TRIV = DirichletCharacter.principal(1)
+PROPERTY = settings(max_examples=60, deadline=None)
+SMALL_LEVELS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+
+
+@st.composite
+def queries(draw, max_k=12):
+    """A random S_chi(a, b; n; c) with a small level N and c = N k."""
+    N = draw(st.sampled_from(SMALL_LEVELS))
+    c = N * draw(st.integers(1, max_k))
+    chi = draw(st.sampled_from(enumerate_characters(N)))
+    n = draw(st.integers(-12, 12).filter(lambda n: n != 0))
+    return KloostermanQuery(draw(st.integers(0, c - 1)), draw(st.integers(0, c - 1)), n, c, chi)
 
 
 # ---------------------------------------------------------------- gauss sums
@@ -65,6 +79,43 @@ def test_query_validation():
         KloostermanQuery(1, 1, 1, 3, DirichletCharacter.principal(2))
 
 
+def _units_oracle(q):
+    """The unit table as one gcd and one pow call per residue."""
+    if q == 1:
+        return [0], [0]
+    xs = [x for x in range(q) if math.gcd(x, q) == 1]
+    return xs, [pow(x, -1, q) for x in xs]
+
+
+def test_units_match_the_gcd_pow_oracle():
+    for q in [*range(1, 3001), 101**2, 3**9, 2**16, 1009**2]:
+        xs, inv = expsums._units(q)
+        oracle_xs, oracle_inv = _units_oracle(q)
+        assert xs.dtype == inv.dtype == np.int64
+        assert xs.tolist() == oracle_xs and inv.tolist() == oracle_inv, q
+        if q > 1:
+            assert np.all(xs * inv % q == 1)
+
+
+def test_units_reject_moduli_outside_the_int64_domain():
+    # inverses multiply residues below q, so q^2 must stay below 2^63
+    with pytest.raises(ValueError):
+        expsums._units(math.isqrt(2**63 - 1) + 1)
+
+
+def test_table_cache_drops_the_largest_tables_first():
+    budget = expsums._TABLE_BUDGET
+    cache = expsums._table_cache(lambda q: object())
+    half = budget // 2
+    first = cache(half)
+    cache(half - 1)
+    assert cache(half) is first  # a hit: both tables fit the budget
+    cache(3)  # two residues over the budget: the largest table, q = half, goes
+    assert cache.cache_info().currsize == 2 and cache(half) is not first
+    assert cache(budget + 1) is not cache(budget + 1)  # larger than the budget: never kept
+    assert cache.cache_info() == (1, 6, budget, 2)
+
+
 @pytest.mark.parametrize("c", [1, 2, 6, 12, 45, 60])
 def test_modes_agree_spot(c):
     for N in arith.divisors(c):
@@ -77,6 +128,37 @@ def test_modes_agree_spot(c):
                     d = kloosterman(q, "direct")
                     assert abs(d - kloosterman(q, "factored")) < 1e-10
                     assert abs(d - kloosterman(q, "salie")) < 1e-10
+
+
+@PROPERTY
+@given(queries())
+def test_routes_agree(q):
+    d = kloosterman(q, "direct")
+    assert abs(d - kloosterman(q, "factored")) < 1e-9
+    assert abs(d - kloosterman(q, "salie")) < 1e-9
+
+
+@PROPERTY
+@given(st.data())
+def test_twisted_multiplicativity(data):
+    # S_chi(a, b; n; c1 c2) = S_chi1(a/c2, b/c2; n; c1) S_chi2(a/c1, b/c1; n; c2)
+    # for coprime c1, c2, chi = chi1 chi2 with chi1 mod N1 | c1 and chi2 mod N2 | c2
+    N1, N2 = data.draw(st.sampled_from(
+        [(N1, N2) for N1 in SMALL_LEVELS for N2 in SMALL_LEVELS if math.gcd(N1, N2) == 1]))
+    c1 = N1 * data.draw(st.integers(1, 6))
+    c2 = N2 * data.draw(st.integers(1, 6))
+    assume(math.gcd(c1, c2) == 1)
+    chi1 = data.draw(st.sampled_from(enumerate_characters(N1)))
+    chi2 = data.draw(st.sampled_from(enumerate_characters(N2)))
+    chi = induce(chi1, N1 * N2).mul(induce(chi2, N1 * N2))
+    c = c1 * c2
+    a, b = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, c - 1))
+    n = data.draw(st.integers(-12, 12).filter(lambda n: n != 0))
+    i1, i2 = arith.inv_mod(c2, c1), arith.inv_mod(c1, c2)
+    whole = kloosterman(KloostermanQuery(a, b, n, c, chi), "direct")
+    left = kloosterman(KloostermanQuery(a * i1 % c1, b * i1 % c1, n, c1, chi1), "direct")
+    right = kloosterman(KloostermanQuery(a * i2 % c2, b * i2 % c2, n, c2, chi2), "direct")
+    assert abs(whole - left * right) < 1e-9
 
 
 def test_chi_nonzero_off_units_of_c():
@@ -185,6 +267,13 @@ def test_selberg_identity_random():
         checked += 1
 
 
+@PROPERTY
+@given(queries(max_k=14))
+def test_selberg_identity_property(q):
+    assume(math.gcd(q.chi.modulus, abs(q.n)) == 1 or math.gcd(q.chi.modulus, q.b) == 1)
+    assert abs(selberg_identity(q, "lhs") - selberg_identity(q, "rhs")) < 1e-9
+
+
 def test_selberg_identity_precondition():
     chi = enumerate_characters(6)[1]
     with pytest.raises(ValueError):
@@ -219,6 +308,16 @@ def test_quad_formula_vs_brute():
             f = quad_solution_count(a, B, c0, p, n, "formula")
             br = quad_solution_count(a, B, c0, p, n, "brute")
             assert f == br, (a, B, c0, p, n)
+
+
+@PROPERTY
+@given(st.sampled_from([(p, n) for p in (2, 3, 5, 7, 11) for n in range(1, 10) if p**n <= 512]),
+       st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
+def test_quad_formula_matches_brute_property(pn, a, B, c0):
+    p, n = pn
+    assume(a % p != 0)
+    assert quad_solution_count(a, B, c0, p, n, "formula") == \
+        quad_solution_count(a, B, c0, p, n, "brute")
 
 
 def test_quad_rejects_bad_leading_coeff():

@@ -1,14 +1,20 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ktf_kit
 from ktf_kit import arith
 from ktf_kit.characters import DirichletCharacter, enumerate_characters
 from ktf_kit.eisenstein import enumerate_basis, hurwitz_zeta
 from ktf_kit.ktf import (
+    _TAIL_WINDOW,
     KtfRequest,
     SpectralDatum,
     _continuous_t_grid,
@@ -117,6 +123,45 @@ def test_geo_kloosterman_real_for_equal_m():
     assert abs(g2.imag) < 1e-12
     assert tail < 1e-5 * arith.psi(11)
     assert k >= 64
+
+
+def test_geo_kloosterman_tail_is_the_spread_of_the_last_partial_sums():
+    req = KtfRequest(101, DirichletCharacter.principal(101), 1, 1, 1, H)
+    total, tail, k, terms = geo_kloosterman(req, return_terms=True)
+    partial, s = [], 0j
+    for _, term in terms:
+        s += term
+        partial.append(s)
+    assert len(terms) == k and partial[-1] == total
+    assert tail == max(abs(p - total) for p in partial[-_TAIL_WINDOW:])
+    # the series stops at the first k >= 64 whose window spread is below tol / 2
+    half_tol = req.abs_tol * arith.psi(101) / 2
+    assert tail < half_tol
+    assert max(abs(p - partial[-2]) for p in partial[-_TAIL_WINDOW - 1:-1]) >= half_tol
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_geo_kloosterman_memory_ceiling_at_level_7():
+    # the c-series at N = 7 reaches c = 80283; the table caches are bounded, so
+    # the process stays below 100 MB (it peaked at 304 MB with unbounded caches).
+    # The peak is VmHWM, not ru_maxrss: Linux carries the high-water mark of the
+    # spawning process (this test runner) into the child's ru_maxrss at exec.
+    code = (
+        "from ktf_kit.characters import DirichletCharacter\n"
+        "from ktf_kit.ktf import KtfRequest, cuspidal_inferred\n"
+        "from ktf_kit.transforms import TestFunction\n"
+        "r = cuspidal_inferred(KtfRequest(7, DirichletCharacter.principal(7), 1, 1, 1,\n"
+        "                                 TestFunction.parse('gaussian:1')))\n"
+        "hwm = [line.split()[1] for line in open('/proc/self/status')\n"
+        "       if line.startswith('VmHWM:')]\n"
+        "print(r.c_terms_used, repr(r.geo_kloosterman), *hwm)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    used, g2, peak_kib = out.stdout.split()
+    assert int(used) == 11469
+    assert g2 == "(-0.03582509377007867-7.596384283081676e-17j)"
+    assert int(peak_kib) < 100 * 1024
 
 
 def test_geo_kloosterman_magnitude_trend():
