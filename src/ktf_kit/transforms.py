@@ -248,12 +248,12 @@ class SelbergPipeline:
         return self._phi_cache[key]
 
     def _r_integral(self, y: np.ndarray, trig, power: int) -> np.ndarray:
-        """int_0^inf r^power h(r) trig(r log y) dr for every y, in blocks of 4096."""
+        """int_0^inf r^power h(r) trig(r log y) dr for every y, in blocks of 512."""
         ly = np.log(y)
         r, w = self._r_nodes(float(np.max(np.abs(ly))))
         whr = w * r**power * np.real(np.asarray(self.h(r)))
-        return np.concatenate([trig(np.multiply.outer(ly[i:i + 4096], r)) @ whr
-                               for i in range(0, len(y), 4096)])
+        return np.concatenate([trig(np.multiply.outer(ly[i:i + 512], r)) @ whr
+                               for i in range(0, len(y), 512)])
 
     def phi(self, y) -> np.ndarray:
         """Phi(y) = (1/pi) int_0^inf h(r) cos(r log y) dr."""
@@ -306,10 +306,9 @@ class SelbergPipeline:
         w_max = math.sqrt(self.Q.u_max)
         xs, ws = _half_line_nodes(w_max)
         out = np.empty(len(u))
-        for i in range(0, len(u), 2048):
-            args = u[i:i + 2048, None] + xs[None, :] ** 2
-            vals = self.Qp(args.ravel()).reshape(args.shape)
-            out[i:i + 2048] = vals @ ws
+        for i in range(0, len(u), 512):  # bounds the (u, w) block in memory
+            args = u[i:i + 512, None] + xs[None, :] ** 2
+            out[i:i + 512] = self.Qp(args.ravel()).reshape(args.shape) @ ws
         return -(2.0 / math.pi) * out
 
     @property
@@ -332,9 +331,11 @@ class SelbergPipeline:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         x_max = math.sqrt(self.V.u_max)
         xs, ws = _half_line_nodes(x_max)
-        args = u[:, None] + xs[None, :] ** 2
-        vals = self.V(args.ravel()).reshape(args.shape)
-        return 2.0 * (vals @ ws)
+        out = np.empty(len(u))
+        for i in range(0, len(u), 512):  # bounds the (u, x) block in memory
+            args = u[i:i + 512, None] + xs[None, :] ** 2
+            out[i:i + 512] = self.V(args.ravel()).reshape(args.shape) @ ws
+        return 2.0 * out
 
     def h_roundtrip(self, t: float) -> complex:
         """Mellin transform at it of Phi-tilde built from the V grid."""

@@ -82,10 +82,12 @@ def test_geo_main_character_at_m1_over_b():
 
 
 # Jint(x) = int J_{2it}(x) h(t) t / cosh(pi t) dt for gaussian:1 is purely
-# imaginary; these imaginary parts were computed with one scalar Lanczos Gamma
-# call per t-node (12.0 and 6 pi by a fresh ODE sweep per x).  4 pi / c for
-# c = 101, 1009, 30000 are Kloosterman-term arguments, 0.5, 3.0, 5.9 run the
-# J-series and 7.5, 12.0, 6 pi the ODE continuation.
+# imaginary.  4 pi / c for c = 101, 1009, 30000 are Kloosterman-term
+# arguments and 0.5, 3.0, 5.9 run the J-series; these six imaginary parts were
+# computed with one scalar Lanczos Gamma call per t-node.  7.5, 12.0, 6 pi run
+# the ODE continuation; their rows are 2 sum_t Im J_{2it}(x) w(t) over the
+# same 512-node t-grid and weights, with J from mpmath.besselj at mp.dps = 30
+# and the sum in mpmath.
 JINT_GAUSSIAN_1 = [
     (4 * math.pi / 101, -0.0786026261613868),
     (4 * math.pi / 1009, -0.007994507042636143),
@@ -93,9 +95,9 @@ JINT_GAUSSIAN_1 = [
     (0.5, -0.2517973950557416),
     (3.0, 0.34039250126921533),
     (5.9, -0.28198862617068116),
-    (7.5, 0.037167245793310315),
-    (12.0, -0.20927813486868893),
-    (6 * math.pi, -0.1329238570901982),
+    (7.5, 0.037167245793369164),
+    (12.0, -0.2092781348686155),
+    (6 * math.pi, -0.1329238570898534),
 ]
 
 

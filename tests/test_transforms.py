@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ktf_kit
 from ktf_kit.transforms import (
     GridFunction,
     TestFunction,
@@ -83,6 +88,25 @@ def test_forward_consistency():
 @pytest.mark.parametrize("h,tol", [(GAUSS, 1e-6), (WINDOW, 1e-6)])
 def test_roundtrip(h, tol):
     assert roundtrip_sup_error(h, 10.0, 41) <= tol
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+def test_roundtrip_memory_ceiling():
+    # the Q, V and round-trip quadratures run in blocks of 512 rows, so building
+    # the pipeline and the round trip stays below 200 MB.  The peak is VmHWM,
+    # as in test_ktf's level-7 ceiling test.
+    code = (
+        "from ktf_kit.transforms import TestFunction, roundtrip_sup_error\n"
+        "err = roundtrip_sup_error(TestFunction.spectral_window(5.0), 10.0, 41)\n"
+        "hwm = [line.split()[1] for line in open('/proc/self/status')\n"
+        "       if line.startswith('VmHWM:')]\n"
+        "print(repr(err), *hwm)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    err, peak_kib = out.stdout.split()
+    assert abs(float(err) - 6.368271541611764e-10) <= 1e-15 * 6.368271541611764e-10
+    assert int(peak_kib) < 200 * 1024
 
 
 def test_roundtrip_even_and_values():
