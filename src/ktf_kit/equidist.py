@@ -115,10 +115,10 @@ def equidist_scan(p: int, m: int, h: TestFunction, N_list: list[int],
     rows = []
     for N in sorted(N_list):
         omega = DirichletCharacter.principal(N)
-        base = moment_report(N, omega, p, 0, m, h, abs_tol).lhs
+        base = moment_report(N, omega, p, 0, m, h, abs_tol)
         for ell in ell_list:
-            rep = moment_report(N, omega, p, ell, m, h, abs_tol)
-            ratio = rep.lhs / base
+            rep = base if ell == 0 else moment_report(N, omega, p, ell, m, h, abs_tol)
+            ratio = rep.lhs / base.lhs
             rows.append((N, p, m, ell, float(ratio.real), float(ratio.imag),
                          rep.prediction))
     return rows

@@ -214,7 +214,10 @@ def _kloosterman_factored(a: int, b: int, n: int, c: int, chi: DirichletCharacte
         aa = a * inv_co % q
         bb = b * inv_co % q * (n_other % q) % q
         chi_p = _local_component_cached(chi, p, q) if N % p == 0 else None
-        total *= kloosterman_local(aa, bb, p**np_, q, chi_p, salie=salie)
+        # the flag only selects a route for a twisted factor; an untwisted one
+        # shares its cache entry with both modes
+        total *= kloosterman_local(aa, bb, p**np_, q, chi_p,
+                                   salie=salie and chi_p is not None)
     return complex(total)
 
 

@@ -34,7 +34,7 @@ from .eisenstein import (
     sigma_s,
 )
 from .expsums import KloostermanQuery, kloosterman
-from .specfun import gamma_complex, gl_integrate, gl_panels, j2it_values
+from .specfun import gl_integrate, gl_panels, j2it_values
 from .transforms import TestFunction, get_pipeline
 
 
@@ -159,14 +159,16 @@ def geo_main(req: KtfRequest) -> complex:
 class _JIntegralCache:
     """Jint(x) = int_R J_{2it}(x) h(t) t / cosh(pi t) dt on t-grids per h.
 
-    A grid, keyed by its panel count, keeps its row 1/Gamma(1 + 2it) and its
-    ODE checkpoint path (see specfun._j2it_ode_extend) for every x that uses it."""
+    A grid, keyed by its panel count, keeps its series coefficient table (see
+    specfun._j_series; its rows grow to the term count of the largest x seen)
+    and its ODE checkpoint path (see specfun._j2it_ode_extend) for every x
+    that uses it."""
 
     def __init__(self, h: TestFunction):
         self.h = h
         self.T = get_pipeline(h).T
         self._cache: dict[float, complex] = {}
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list]] = {}
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray, list, list]] = {}
 
     def _grid(self, x: float):
         key = int(2.0 * (1.0 + abs(math.log(x / 2.0))))
@@ -175,13 +177,13 @@ class _JIntegralCache:
         if panels not in self._grids:
             ts, ws = gl_panels(0.0, self.T, panels, 16)
             hw = np.real(np.asarray(self.h(ts))) * ts / np.cosh(np.pi * ts) * ws
-            self._grids[panels] = (ts, hw, 1.0 / gamma_complex(1 + 2j * ts), [])
+            self._grids[panels] = (ts, hw, [], [])
         return self._grids[panels]
 
     def __call__(self, x: float) -> complex:
         if x not in self._cache:
-            ts, hw, rgamma, path = self._grid(x)
-            jv = j2it_values(ts, x, rgamma=rgamma, path=path)
+            ts, hw, table, path = self._grid(x)
+            jv = j2it_values(ts, x, table=table, path=path)
             self._cache[x] = complex(2j * np.sum(np.imag(jv) * hw))
         return self._cache[x]
 

@@ -5,8 +5,8 @@ K_it comes from the real cosh-transform integral, J_2it from its power series
 up to x = 6 and from Taylor steps of Bessel's equation above it (within 3e-13
 relative of mpmath for |t| <= 60, measured; one t per call), Gamma from
 a fixed Lanczos table, elementwise on arrays so a whole t-grid takes one call
-(the ktf module keeps the row 1/Gamma(1 + 2it) of each of its t-grids).  All
-constants live here so results are reproducible bit-for-bit across runs.
+(the ktf module keeps the series coefficient table of each of its t-grids).
+All constants live here so results are reproducible bit-for-bit across runs.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def k_squared_integral(t: float) -> float:
 # J-Bessel of imaginary order 2it
 
 J_SERIES_CUTOFF = 30.0
-J_SERIES_MAX_TERMS = 120
+_SERIES_TOL = 1e-18  # the last series term kept, relative to the first
 _ODE_X0 = 6.0  # above this x, J_2it is continued by Taylor steps from series data here
 _ODE_STEP = 1.0  # the Taylor steps go along the lattice _ODE_X0 + k _ODE_STEP
 _ODE_TERMS = 45  # Taylor terms per (sub-)step
@@ -207,22 +207,49 @@ def bessel_J_2it(t: float, x: float) -> complex:
     return complex(j2it_values(np.array([t]), x)[0])
 
 
-def _j_series(nu: np.ndarray, x: float, rgamma: np.ndarray | None = None) -> np.ndarray:
-    """Power series of J_nu(x) for an array of complex orders.
+def _series_terms(x: float) -> int:
+    """K(x), the least K with (x^2/4)^K / (K!)^2 <= _SERIES_TOL.
 
-    rgamma is 1/Gamma(1 + nu); computed here when the caller has not kept it.
+    That bounds term K of the series of J_nu(x) over term 0 for every order
+    with |nu + k| >= k (imaginary nu, and nu + 1 for the ODE seed).
     """
-    if rgamma is None:
-        rgamma = 1.0 / gamma_complex(1 + nu)
-    term = np.exp(nu * math.log(x / 2.0)) * rgamma
-    total = term.copy()
-    z = x * x / 4.0
-    for k in range(1, J_SERIES_MAX_TERMS + 1):
-        term = term * (-z) / (k * (nu + k))
-        total += term
-        if np.max(np.abs(term)) < 1e-18 * max(1e-300, float(np.max(np.abs(total)))):
-            break
-    return total
+    z, K, ratio = x * x / 4.0, 0, 1.0
+    while ratio > _SERIES_TOL:
+        K += 1
+        ratio *= z / (K * K)
+    return K
+
+
+def _series_table(nu: np.ndarray, K: int, table: list | None = None) -> list:
+    """Rows 0..K of the series coefficients c_k(nu) = 1/(k! Gamma(1 + nu + k)).
+
+    Row 0 is 1/Gamma(1 + nu) and row k is row k-1 / (k (nu + k)).  A table
+    already holding the first rows on these nu is extended in place.
+    """
+    table = [] if table is None else table
+    if not table:
+        table.append(1.0 / gamma_complex(1 + nu))
+    for k in range(len(table), K + 1):
+        table.append(table[-1] / (k * (nu + k)))
+    return table
+
+
+def _j_series(nu: np.ndarray, x: float, table: list | None = None) -> np.ndarray:
+    """Power series of J_nu(x) for an array of complex orders (DLMF 10.2.2):
+    (x/2)^nu times the Horner sum of rows 0..K(x) of the coefficient table in
+    -x^2/4, K(x) = _series_terms(x).
+
+    table is the _series_table of nu; a caller that evaluates many x on one
+    t-grid keeps one list with that grid (start it as []), which grows to
+    the K(x) of the largest x seen.
+    """
+    K = _series_terms(x)
+    table = _series_table(nu, K, table)
+    z = -x * x / 4.0
+    acc = table[K]
+    for row in reversed(table[:K]):
+        acc = acc * z + row
+    return np.exp(nu * math.log(x / 2.0)) * acc
 
 
 def _taylor_step(x0: float, h: float, y: np.ndarray, yp: np.ndarray, t4: np.ndarray, m: int):
@@ -246,7 +273,7 @@ def _taylor_step(x0: float, h: float, y: np.ndarray, yp: np.ndarray, t4: np.ndar
     return y, yp
 
 
-def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, rgamma: np.ndarray | None = None,
+def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, table: list | None = None,
                      path: list | None = None) -> dict[float, np.ndarray]:
     """J_{2it}(x) beyond the safe series range by Taylor steps of Bessel's ODE.
 
@@ -270,7 +297,7 @@ def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, rgamma: np.ndarray |
     if path is None:
         path = []
     if not path:
-        y = _j_series(nu, _ODE_X0, rgamma)
+        y = _j_series(nu, _ODE_X0, table)
         path.append((_ODE_X0, y, (nu / _ODE_X0) * y - _j_series(nu + 1, _ODE_X0)))
     t4 = 4.0 * ts * ts
     m = 1 + int(np.max(np.abs(ts), initial=0.0) / _ODE_T_PER_SUBSTEP)
@@ -291,15 +318,15 @@ def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, rgamma: np.ndarray |
     return out
 
 
-def j2it_values(ts: np.ndarray, x: float, rgamma: np.ndarray | None = None,
+def j2it_values(ts: np.ndarray, x: float, table: list | None = None,
                 path: list | None = None) -> np.ndarray:
     """J_{2it}(x) on an array of t, choosing series or ODE continuation.
 
     A caller that evaluates many x on one fixed t-grid keeps with that grid
-    rgamma, 1/Gamma(1 + 2it) on ts, and path, the ODE checkpoint list of
-    _j2it_ode_extend (start it as []).
+    table, the series coefficient rows of _j_series on nu = 2it, and path,
+    the ODE checkpoint list of _j2it_ode_extend (start both as []).
     """
     ts = np.asarray(ts, dtype=float)
     if x <= _ODE_X0:
-        return _j_series(2j * ts, x, rgamma)
-    return _j2it_ode_extend(ts, np.array([x]), rgamma=rgamma, path=path)[float(x)]
+        return _j_series(2j * ts, x, table)
+    return _j2it_ode_extend(ts, np.array([x]), table=table, path=path)[float(x)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ktf_kit import equidist
 from ktf_kit.characters import DirichletCharacter
 from ktf_kit.equidist import (
     Measure,
@@ -69,3 +70,23 @@ def test_moment_report_predictions():
 def test_scan_ratios_l0_unity():
     rows = equidist_scan(2, 1, H, [11], (0,), abs_tol=1e-4)
     assert rows[0][4] == 1.0 and rows[0][5] == 0.0
+
+
+def test_scan_computes_the_zeroth_moment_once_per_level(monkeypatch):
+    N, p, m = 11, 2, 1
+    omega = DirichletCharacter.principal(N)
+    base = moment_report(N, omega, p, 0, m, H, abs_tol=1e-4)
+    expected = []
+    for ell in (0, 1, 2):
+        rep = moment_report(N, omega, p, ell, m, H, abs_tol=1e-4)
+        ratio = rep.lhs / base.lhs
+        expected.append((N, p, m, ell, float(ratio.real), float(ratio.imag), rep.prediction))
+    inner, calls = equidist.cuspidal_inferred, []
+
+    def counted(req):
+        calls.append(req.n)
+        return inner(req)
+
+    monkeypatch.setattr(equidist, "cuspidal_inferred", counted)
+    assert equidist_scan(p, m, H, [N], (0, 1, 2), abs_tol=1e-4) == expected
+    assert calls == [1, 2, 4]  # n = p^ell, the ell = 0 report reused

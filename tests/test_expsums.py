@@ -185,6 +185,17 @@ def test_local_rejects_exponent_for_n():
         kloosterman_local(1, 1, 3, 125, None)
 
 
+def test_untwisted_local_factor_is_cached_once_for_both_modes():
+    # with chi_p = None the salie flag selects nothing, so the factored and the
+    # Salie route of a query whose local factors are all untwisted share them
+    kloosterman_local.cache_clear()
+    q = KloostermanQuery(4321, 8765, 1, 10007, DirichletCharacter.principal(1))
+    f = kloosterman(q, "factored")
+    s = kloosterman(q, "salie")
+    assert f == s
+    assert kloosterman_local.cache_info().misses == 1
+
+
 def test_swap_and_scaling():
     for chi in enumerate_characters(9):
         for a, b in ((1, 2), (4, 7), (0, 5)):

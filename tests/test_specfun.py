@@ -184,19 +184,40 @@ def test_j2it_ode_extension():
 @settings(max_examples=12, deadline=None)
 @given(st.floats(0.0, 60.0), st.floats(6.0, 60.0, exclude_min=True))
 def test_j2it_values_match_mpmath(t, x):
-    # one t per call: the series seed at x = 6 stops on the largest element of
-    # its grid (see CHANGES.md).  The error is measured against the local
-    # amplitude |J_nu| + |J_nu+1|, since J_0 has real zeros.
+    # The error is measured against the local amplitude |J_nu| + |J_nu+1|,
+    # since J_0 has real zeros.
     nu = mp.mpc(0, 2 * t)
     ref = complex(mp.besselj(nu, x))
     amplitude = abs(ref) + float(abs(mp.besselj(nu + 1, x)))
     assert abs(j2it_values(np.array([t]), x)[0] - ref) <= 1e-12 * amplitude
 
 
+# a t-grid of 2 to 8 nodes in [0, 15] holding both a small and a large t, the
+# mix on which a grid-wide stop test cut the small-t elements' series short
+MIXED_TS = st.tuples(st.floats(0.0, 0.25), st.floats(10.0, 15.0),
+                     st.lists(st.floats(0.0, 15.0), max_size=6)).map(
+    lambda g: np.array([g[0], g[1], *g[2]]))
+
+
+# x >= 1e-12: below that the phase 2t log(x/2) of (x/2)^{2it} alone rounds to
+# about 2t |log(x/2)| 1e-16 (2e-12 relative at x = 2.3e-308, t = 10); the trace
+# formula's arguments x = 4 pi sqrt(n m1 m2) / c stay above 8e-6.
+@settings(max_examples=30, deadline=None)
+@given(MIXED_TS, st.one_of(st.floats(1e-12, 6.0), st.floats(6.0, 8.0, exclude_min=True)))
+def test_j2it_values_on_mixed_grids_match_mpmath(ts, x):
+    # every element of the grid to the accuracy it has alone: the series is
+    # summed to a term count fixed by x, not stopped by a grid-wide test
+    for t, v in zip(ts, j2it_values(ts, x)):
+        nu = mp.mpc(0, 2 * t)
+        ref = complex(mp.besselj(nu, x))
+        amplitude = abs(ref) + float(abs(mp.besselj(nu + 1, x)))
+        assert abs(v - ref) <= 1e-12 * amplitude
+
+
 def test_ode_path_keeps_the_wronskian():
     # J_{-nu} = conj(J_nu) for nu = 2it and real x, so the Wronskian of J_nu and
     # J_{-nu}, -2 sin(nu pi) / (pi x), gives Im(y conj(y')) = -sinh(2 pi t) / (pi x).
-    # One t per path, as in test_j2it_values_match_mpmath.
+    # One t per path, so that each t sets its own sub-step count.
     for t in np.linspace(0.0, 60.0, 31):  # 1 to 4 sub-steps per step
         path = []
         _j2it_ode_extend(np.array([t]), np.array([60.0]), path=path)
@@ -219,10 +240,9 @@ def test_ode_path_is_bit_identical_to_fresh_sweeps(xs):
     # one checkpoint path shared by targets in any order gives exactly the
     # values of a fresh sweep from the seed, and holds one state per unit of x
     ts = np.array([0.01, 0.7, 3.0])
-    rgamma = 1.0 / gamma_complex(1 + 2j * ts)
-    path = []
+    table, path = [], []
     for x in xs:
-        shared = j2it_values(ts, x, rgamma=rgamma, path=path)
+        shared = j2it_values(ts, x, table=table, path=path)
         assert np.array_equal(shared, j2it_values(ts, x))
     assert len(path) <= math.floor(max(xs)) - 4
 
