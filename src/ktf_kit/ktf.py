@@ -195,16 +195,6 @@ _jint_cache = lru_cache(maxsize=16)(_JIntegralCache)
 # Kloosterman (second geometric) term
 
 
-def _divisor_tail(K: int, s: float) -> float:
-    """Upper bound for sum_{k > K} tau(k) k^{-s}, s > 1 (hyperbola split)."""
-    def ztail(X: float) -> float:
-        return X ** (1 - s) / (s - 1) + X**-s
-    root = max(1, math.isqrt(K))
-    head = sum(d**-s * ztail(K / d) for d in range(1, root + 1))
-    zeta_s = 1.0 + sum(d**-s for d in range(2, 400)) + ztail(400.0)
-    return head + ztail(root) * zeta_s
-
-
 _TAIL_WINDOW = 48  # trailing partial sums whose spread is the tail_bound
 
 

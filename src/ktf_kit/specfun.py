@@ -1,7 +1,7 @@
 """Complex Gamma, Bessel functions of imaginary order, and the composite
 Gauss-Legendre rule with its error estimate.
 
-K_it comes from the real cosh-transform integral, J_2it from its power series
+K_nu comes from the cosh-transform integral, J_2it from its power series
 up to x = 6 and from Taylor steps of Bessel's equation above it (within 3e-13
 relative of mpmath for |t| <= 60, measured; one t per call), Gamma from
 a fixed Lanczos table, elementwise on arrays so a whole t-grid takes one call
@@ -12,6 +12,7 @@ All constants live here so results are reproducible bit-for-bit across runs.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -105,50 +106,37 @@ def gl_integrate(values: np.ndarray, weights: np.ndarray) -> tuple[complex, floa
 # K-Bessel of (mostly imaginary) order
 
 
-def _bessel_K_nodes(x_min: float, freq: float):
-    """Quadrature nodes for int_0^inf e^{-x cosh u} * (trig in u) du."""
-    u_max = math.acosh(max(2.0, 745.0 / x_min))
-    width = min(0.5, math.pi / (2.0 * (1.0 + freq)))
-    n_panels = max(8, int(u_max / width) + 1)
-    return gl_panels(0.0, u_max, n_panels, 16)
+def bessel_K(nu: complex, x) -> float | complex | np.ndarray:
+    """K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du, elementwise on x > 0.
 
-
-def bessel_K_it(t: float, x) -> float | np.ndarray:
-    """K_{it}(x) = int_0^inf exp(-x cosh u) cos(tu) du for x > 0; real-valued.
-
-    Domain: x >= 2.7e-17, the smallest argument k_squared_integral passes
-    (2 pi e^{-40}).  Absolute error below 1e-10 for x >= 1e-3, |t| <= 30, and
-    below 1e-13 at x = 2.7e-17, 1e-11 and 1e-3 for t in {0, 0.5, 2, 10, 12}.
+    One Gauss-Legendre rule for all x, on [0, acosh(745 / min x)]; for
+    imaginary nu = it the weights carry cos(tu), so K_it is real.  K_it has
+    absolute error below 1e-10 for x >= 1e-3, |t| <= 30, and below 1e-13 at
+    x = 2.7e-17 (k_squared_integral's smallest), 1e-11 and 1e-3 for t in
+    {0, 0.5, 2, 10, 12}.  Complex orders are accurate for |Re nu| <= 2 and x
+    bounded away from 0 (the Eisenstein series needs Re nu in [0, 3/2]).
     """
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0):
-        raise ValueError("bessel_K_it requires x > 0")
-    u, w = _bessel_K_nodes(float(np.min(xs)), abs(t))
-    flat, wc = xs.reshape(-1), w * np.cos(t * u)
-    out = np.empty(len(flat))
-    for i in range(0, len(flat), 512):  # bounds the (x, u) block in memory
-        out[i:i + 512] = np.exp(-np.multiply.outer(flat[i:i + 512], np.cosh(u))) @ wc
-    return float(out[0]) if np.isscalar(x) or xs.ndim == 0 else out.reshape(xs.shape)
-
-
-def bessel_K(nu: complex, x: float) -> complex:
-    """K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du, x > 0, complex order.
-
-    Accurate for |Re nu| <= 2 and x bounded away from 0 (the Eisenstein
-    Fourier series needs nu = s with Re s in [0, 3/2]).
-    """
-    if x <= 0:
         raise ValueError("bessel_K requires x > 0")
     nu = complex(nu)
-    u_max = math.acosh(max(2.0, (745.0 + 10.0) / x))
-    # guard against cosh(nu u) growth for real parts
-    if abs(nu.real) > 0:
-        while x * math.cosh(u_max) - abs(nu.real) * u_max < 745.0 and u_max < 60.0:
+    x_min = float(np.min(xs))
+    u_max = math.acosh(max(2.0, 745.0 / x_min))
+    if nu.real != 0:  # guard against cosh(nu u) growth
+        while x_min * math.cosh(u_max) - abs(nu.real) * u_max < 745.0 and u_max < 60.0:
             u_max += 0.5
     width = min(0.5, math.pi / (2.0 * (1.0 + abs(nu.imag))))
     u, w = gl_panels(0.0, u_max, max(8, int(u_max / width) + 1), 16)
-    vals = np.exp(-x * np.cosh(u)) * np.cosh(nu * u)
-    return complex(np.sum(w * vals))
+    wc = w * np.cos(nu.imag * u) if nu.real == 0 else w * np.cosh(nu * u)
+    flat, out = xs.reshape(-1), np.empty(xs.size, dtype=wc.dtype)
+    for i in range(0, len(flat), 512):  # bounds the (x, u) block in memory
+        out[i:i + 512] = np.exp(-np.multiply.outer(flat[i:i + 512], np.cosh(u))) @ wc
+    return out[0].item() if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def bessel_K_it(t: float, x) -> float | np.ndarray:
+    """K_{it}(x) = bessel_K(it, x), real-valued, elementwise on x > 0."""
+    return bessel_K(1j * t, x)
 
 
 _K2_REL_TOL = 1e-9  # k_squared_integral stops when its estimate is this far below the value
@@ -188,18 +176,19 @@ _ODE_T_PER_SUBSTEP = 20.0  # a step has 1 + floor(max |t| / this) sub-steps
 
 
 def bessel_J_2it(t: float, x: float) -> complex:
-    """J_{2it}(x) for 0 < x <= J_SERIES_CUTOFF, within 3e-13 relative of
-    mpmath for |t| <= 60 (measured).
+    """J_{2it}(x) for sys.float_info.min <= x <= J_SERIES_CUTOFF, within 3e-13
+    relative of mpmath for |t| <= 60 (measured).
 
     The power series is used where its cancellation stays harmless
     (x <= _ODE_X0 = 6); for _ODE_X0 < x <= cutoff the value is continued by
     Taylor steps of Bessel's equation from series data at _ODE_X0, which keep
-    that accuracy (the raw series loses ~e^x in float64).  Above the
-    cutoff a ValueError names the cutoff; larger arguments are reached
-    internally by the ktf module through :func:`j2it_values`.
+    that accuracy (the raw series loses ~e^x in float64).  Outside the
+    domain a ValueError names its bound (below it x/2 underflows in log(x/2));
+    larger arguments are reached internally by the ktf module through
+    :func:`j2it_values`.
     """
-    if x <= 0:
-        raise ValueError("bessel_J_2it requires x > 0")
+    if not x >= sys.float_info.min:
+        raise ValueError(f"bessel_J_2it needs a normal float x >= {sys.float_info.min}")
     if x > J_SERIES_CUTOFF:
         raise ValueError(
             f"x = {x} above series cutoff {J_SERIES_CUTOFF}; the ktf module "
@@ -273,49 +262,45 @@ def _taylor_step(x0: float, h: float, y: np.ndarray, yp: np.ndarray, t4: np.ndar
     return y, yp
 
 
-def _j2it_ode_extend(ts: np.ndarray, x_targets: np.ndarray, table: list | None = None,
-                     path: list | None = None) -> dict[float, np.ndarray]:
+def _j2it_ode_extend(ts: np.ndarray, x: float, table: list | None = None,
+                     path: list | None = None) -> np.ndarray:
     """J_{2it}(x) beyond the safe series range by Taylor steps of Bessel's ODE.
 
     Seeds at _ODE_X0 with series values (cancellation-free there) and the
     exact derivative J_nu' = (nu/x) J_nu - J_{nu+1}, then takes Taylor steps
     (_taylor_step) on the unit lattice 6, 7, 8, ..., with one partial step to
-    each target.  For imaginary order the equation is oscillatory with
-    bounded solutions, so forward stepping is stable.  A step has more
-    sub-steps for larger |t| (_ODE_T_PER_SUBSTEP).  Against mpmath the values
-    are within 3e-13 relative for x <= 60 and |t| <= 60 (measured).
+    x.  For imaginary order the equation is oscillatory with bounded
+    solutions, so forward stepping is stable.  A step has more sub-steps for
+    larger |t| (_ODE_T_PER_SUBSTEP).  Against mpmath the values are within
+    3e-13 relative for x <= 60 and |t| <= 60 (measured).
 
     path is a list of checkpoints (x, y, y') for these ts: the seed, then the
     state at each lattice point reached.  A caller that evaluates many x on
-    one t-grid keeps one list with that grid; a target then resumes from the
-    last checkpoint below it instead of from the seed.  The values are
+    one t-grid keeps one list with that grid; x then resumes from the last
+    checkpoint below it instead of from the seed.  The values are
     bit-identical to a fresh sweep: the checkpoints are lattice states, and
-    the partial step to a target never replaces a stored state.
+    the partial step to x never replaces a stored state.
     """
+    if x < _ODE_X0:
+        raise ValueError("ODE extension only goes upward from the seed")
     ts = np.asarray(ts, dtype=float)
     nu = 2j * ts
-    if path is None:
-        path = []
+    path = [] if path is None else path
     if not path:
         y = _j_series(nu, _ODE_X0, table)
         path.append((_ODE_X0, y, (nu / _ODE_X0) * y - _j_series(nu + 1, _ODE_X0)))
     t4 = 4.0 * ts * ts
     m = 1 + int(np.max(np.abs(ts), initial=0.0) / _ODE_T_PER_SUBSTEP)
-    out: dict[float, np.ndarray] = {}
-    for xt in np.sort(x_targets):
-        if xt < _ODE_X0:
-            raise ValueError("ODE extension only goes upward from the seed")
-        i = len(path) - 1
-        while i > 0 and path[i][0] >= xt:
-            i -= 1
-        x, y, yp = path[i]
-        while x + _ODE_STEP < xt:
-            y, yp = _taylor_step(x, _ODE_STEP, y, yp, t4, m)
-            x += _ODE_STEP
-            if x > path[-1][0]:
-                path.append((x, y, yp))
-        out[float(xt)] = _taylor_step(x, xt - x, y, yp, t4, m)[0]
-    return out
+    i = len(path) - 1
+    while i > 0 and path[i][0] >= x:
+        i -= 1
+    xi, y, yp = path[i]
+    while xi + _ODE_STEP < x:
+        y, yp = _taylor_step(xi, _ODE_STEP, y, yp, t4, m)
+        xi += _ODE_STEP
+        if xi > path[-1][0]:
+            path.append((xi, y, yp))
+    return _taylor_step(xi, x - xi, y, yp, t4, m)[0]
 
 
 def j2it_values(ts: np.ndarray, x: float, table: list | None = None,
@@ -329,4 +314,4 @@ def j2it_values(ts: np.ndarray, x: float, table: list | None = None,
     ts = np.asarray(ts, dtype=float)
     if x <= _ODE_X0:
         return _j_series(2j * ts, x, table)
-    return _j2it_ode_extend(ts, np.array([x]), table=table, path=path)[float(x)]
+    return _j2it_ode_extend(ts, x, table, path)

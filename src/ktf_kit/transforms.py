@@ -472,29 +472,26 @@ def zagier_2d_reference(h: TestFunction, t: float, nv: int = 900,
     return float(2.0 * np.sum(wv * np.sum(vals * xw, axis=1)))
 
 
-class _ZagierGrid:
-    """Z(t) sampled once per test function for the geometric route."""
-
-    def __init__(self, h: TestFunction, tol: float = 1e-10):
-        pipe = get_pipeline(h)
-        U = pipe.V.effective_support(tol)
-        self.t_max = math.sqrt(4.0 + U)
-        self.ts, self.ws = gl_panels(0.0, self.t_max, max(256, int(self.t_max * 24)), 12)
-        self.z = np.array([zagier_transform(h, float(t)) for t in self.ts])
-
-
-@lru_cache(maxsize=8)
-def _zagier_grid(h: TestFunction) -> _ZagierGrid:
-    return _ZagierGrid(h)
-
-
 def zagier_hat(h: TestFunction, a: float, route: str = "bessel") -> float:
-    """hat-Z(a), by Fourier transform of Z or by the J-Bessel integral."""
+    """hat-Z(a) = 2 int_0^inf Z(t) cos(2 pi a t) dt, geometrically or by the
+    J-Bessel integral of h.
+
+    The geometric route never samples Z.  In polar coordinates on Z's region
+    {t, v >= 0, t^2 + v^2 >= 4}, with int_0^{pi/2} cos(x cos th) dth =
+    (pi/2) J_0(x) (DLMF 10.9.1), it is pi^2 int_2^{r_max} V(r^2 - 4)
+    J_0(2 pi a r) r dr, r_max^2 = 4 + V's support at 1e-12, on one panel per
+    period 1/a of J_0 plus 16: the cost grows with a * r_max.
+    """
     if a <= 0:
         raise ValueError("a must be positive")
     if route == "geometric":
-        g = _zagier_grid(h)
-        return float(2.0 * np.sum(g.ws * g.z * np.cos(2.0 * math.pi * a * g.ts)))
+        V = get_pipeline(h).V
+        r_max = math.sqrt(4.0 + V.effective_support(1e-12))
+        rs, ws = gl_panels(2.0, r_max, int((r_max - 2.0) * a) + 16, 16)
+        table, path = [], []  # one J_0 coefficient table and ODE path for all r
+        j0 = np.array([j2it_values(np.zeros(1), 2.0 * math.pi * a * r, table, path)[0].real
+                       for r in rs])
+        return float(math.pi**2 * np.sum(ws * V(rs * rs - 4.0) * j0 * rs))
     if route == "bessel":
         pipe = get_pipeline(h)
         panels = max(48, int(pipe.T * (2.0 + abs(math.log(2.0 * math.pi * a)))))

@@ -158,7 +158,9 @@ def test_geo_kloosterman_memory_ceiling_at_level_7():
         "hwm = [line.split()[1] for line in open('/proc/self/status')\n"
         "       if line.startswith('VmHWM:')]\n"
         "print(r.c_terms_used, repr(r.geo_kloosterman), *hwm)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1])}
+    # a single-threaded BLAS, as in test_transforms' round-trip ceiling test
+    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     used, g2, peak_kib = out.stdout.split()

@@ -164,13 +164,16 @@ def test_bessel_J_gamma_majorant():
 def test_bessel_J_cutoff_error():
     with pytest.raises(ValueError, match="cutoff"):
         bessel_J_2it(0.0, 31.0)
-    with pytest.raises(ValueError):
-        bessel_J_2it(0.0, -1.0)
+    # (x/2)^{2it} is formed from log(x/2), and x/2 underflows to 0 at x = 5e-324
+    for x in (-1.0, 0.0, 5e-324, np.nextafter(sys.float_info.min, 0.0)):
+        with pytest.raises(ValueError, match="normal float"):
+            bessel_J_2it(0.0, x)
+    assert abs(bessel_J_2it(0.0, sys.float_info.min) - 1.0) <= 1e-15
 
 
 def test_j2it_ode_extension():
     ts = np.array([0.01, 0.5, 2.0, 6.0])
-    vals = _j2it_ode_extend(ts, np.array([40.0]))[40.0]
+    vals = _j2it_ode_extend(ts, 40.0)
     for t, v in zip(ts, vals):
         ref = complex(mp.besselj(mp.mpc(0, 2 * t), 40.0))
         assert abs(v - ref) <= 1e-12 * abs(ref)
@@ -220,7 +223,7 @@ def test_ode_path_keeps_the_wronskian():
     # One t per path, so that each t sets its own sub-step count.
     for t in np.linspace(0.0, 60.0, 31):  # 1 to 4 sub-steps per step
         path = []
-        _j2it_ode_extend(np.array([t]), np.array([60.0]), path=path)
+        _j2it_ode_extend(np.array([t]), 60.0, path=path)
         assert [x for x, _, _ in path] == [float(x) for x in range(6, 60)]
         for x, y, yp in path:
             exact = -math.sinh(2 * math.pi * t) / (math.pi * x)

@@ -94,18 +94,21 @@ def test_roundtrip(h, tol):
 def test_roundtrip_memory_ceiling():
     # the Q, V and round-trip quadratures run in blocks of 512 rows, so building
     # the pipeline and the round trip stays below 200 MB.  The peak is VmHWM,
-    # as in test_ktf's level-7 ceiling test.
+    # as in test_ktf's level-7 ceiling test.  The child's BLAS is single-threaded:
+    # a blocked matmul sums in another order with more threads, which moves the
+    # last digits of the pinned error.
     code = (
         "from ktf_kit.transforms import TestFunction, roundtrip_sup_error\n"
         "err = roundtrip_sup_error(TestFunction.spectral_window(5.0), 10.0, 41)\n"
         "hwm = [line.split()[1] for line in open('/proc/self/status')\n"
         "       if line.startswith('VmHWM:')]\n"
         "print(repr(err), *hwm)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     err, peak_kib = out.stdout.split()
-    assert abs(float(err) - 6.368271541611764e-10) <= 1e-15 * 6.368271541611764e-10
+    assert abs(float(err) - 6.368271543780168e-10) <= 1e-15 * 6.368271543780168e-10
     assert int(peak_kib) < 200 * 1024
 
 
@@ -142,7 +145,7 @@ def test_zagier_matches_raw_2d(t):
 def test_zagier_hat_routes(a):
     zb = zagier_hat(GAUSS, a, "bessel")
     zg = zagier_hat(GAUSS, a, "geometric")
-    assert abs(zb - zg) <= 1e-3 * abs(zb)
+    assert abs(zb - zg) <= 1e-8 * abs(zb)
 
 
 def test_zagier_hat_rejects():
