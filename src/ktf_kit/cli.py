@@ -256,8 +256,8 @@ def _dispatch(args) -> int:
 
     if cmd == "zagier":
         h = _from_flags(TestFunction.parse, args.h)
+        zg = _from_flags(zagier_hat, h, args.a, "geometric")
         zb = zagier_hat(h, args.a, "bessel")
-        zg = zagier_hat(h, args.a, "geometric")
         print(f"bessel {_f(zb)}")
         print(f"geometric {_f(zg)}")
         rel = abs(zb - zg) / max(1e-300, abs(zb))

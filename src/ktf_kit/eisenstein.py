@@ -76,10 +76,6 @@ def hurwitz_zeta(s: complex | np.ndarray, q: float,
     return complex(out[0]) if sa.ndim == 0 else out.reshape(sa.shape)
 
 
-def riemann_zeta(s: complex) -> complex:
-    return hurwitz_zeta(s, 1.0)
-
-
 def dirichlet_L(chi: DirichletCharacter, s: complex | np.ndarray) -> complex | np.ndarray:
     """L(s, chi) = sum chi(n) n^{-s}, elementwise on a scalar or an array of s.
 
@@ -238,10 +234,6 @@ def enumerate_basis(N: int, omega: DirichletCharacter) -> list[EisensteinBasisEl
     return out
 
 
-def basis_norm_sq(e: EisensteinBasisElement) -> Fraction:
-    return e.norm_sq
-
-
 def phi_fin_value(e: EisensteinBasisElement, c: int, d: int) -> complex:
     """phi_{(i_p)} on the coset of (c, d): C * conj(chi1'(c/M)) * chi2'(d)."""
     if math.gcd(c, d) != 1:
@@ -254,8 +246,7 @@ def phi_fin_value(e: EisensteinBasisElement, c: int, d: int) -> complex:
     return e.constant * v1 * e.chi2p(d)
 
 
-def sigma_s(e: EisensteinBasisElement, m: int, s: complex | np.ndarray,
-            gauss_mode: str = "formula") -> complex | np.ndarray:
+def sigma_s(e: EisensteinBasisElement, m: int, s: complex | np.ndarray) -> complex | np.ndarray:
     """Divisor sum sigma_s(chi1', chi2', m) of the Fourier expansion; s scalar or array.
 
     m != 0: M^{-(1+2s)} sum_{c | m} conj(chi1'(c)) c^{-2s} G_{chi2' mod M}(m/c).
@@ -277,7 +268,7 @@ def sigma_s(e: EisensteinBasisElement, m: int, s: complex | np.ndarray,
             w = np.conj(chi1p(c)) if e.N1 > 1 else 1.0
             if w == 0:
                 continue
-            g = gauss_sum(chi2M, m // c, gauss_mode)
+            g = gauss_sum(chi2M, m // c, "formula")
             total = total + w * g * np.exp(-2 * sa * math.log(c))
     out = np.exp(-(1 + 2 * sa) * math.log(M)) * total
     return complex(out) if sa.ndim == 0 else out

@@ -103,8 +103,8 @@ def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
     The units are np.arange(q) masked by the primes of q, and the inverses are
     x^(phi(q) - 1) mod q by square-and-multiply on the whole array.  Every
     product is below q^2, so the domain is q^2 < 2^63 (q <= 3037000499), and a
-    larger q raises ValueError; the c-series stops at c_cap = 1.5e6, far inside
-    it.  The tables of recent moduli are kept, at most _TABLE_BUDGET = 2^19
+    larger q raises ValueError; the c-series stops at ktf._C_CAP = 1.5e6, far
+    inside it.  The tables of recent moduli are kept, at most _TABLE_BUDGET = 2^19
     residues in all (8 MB), dropping the largest moduli first.
     """
     if q == 1:

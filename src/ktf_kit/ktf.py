@@ -196,9 +196,16 @@ _jint_cache = lru_cache(maxsize=16)(_JIntegralCache)
 
 
 _TAIL_WINDOW = 48  # trailing partial sums whose spread is the tail_bound
+_C_CAP = 1_500_000  # the c-series raises ArithmeticError past this modulus
 
 
-def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000, return_terms: bool = False):
+def _c_term(req: KtfRequest, c: int, jint: _JIntegralCache, x: float) -> complex:
+    """(2i psi(N)/pi) S(m2,m1;n;c)/c Jint(x), one term of the c-series."""
+    S = kloosterman(KloostermanQuery(req.m2 % c, req.m1 % c, req.n, c, req.omega), "factored")
+    return 2j * arith.psi(req.N) / math.pi * S / c * jint(x)
+
+
+def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
     """(2i psi(N)/pi) sum over c in NZ+ of S(m2,m1;n;c)/c Jint(...), truncated.
 
     The terms only admit a slowly-decaying certified majorant (the Weil bound
@@ -206,11 +213,9 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000, return_terms: bool = 
     of the partial sums over a trailing window falls below
     abs_tol * psi(N); that spread is reported as tail_bound.
     """
-    N, n, m1, m2 = req.N, req.n, req.m1, req.m2
     jint = _jint_cache(req.h)
-    A = 4.0 * math.pi * math.sqrt(n * m1 * m2)
-    pref = 2j * arith.psi(N) / math.pi
-    tol_c = req.abs_tol * arith.psi(N)
+    A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
+    tol_c = req.abs_tol * arith.psi(req.N)
     half_tol = tol_c / 2
     total = 0j
     terms = []
@@ -218,15 +223,13 @@ def geo_kloosterman(req: KtfRequest, c_cap: int = 1500000, return_terms: bool = 
     k = 0
     while True:
         k += 1
-        c = k * N
-        if c > c_cap:
+        c = k * req.N
+        if c > _C_CAP:
             tail = max(abs(t0 - total) for t0 in history) if k > 64 else math.inf
             raise ArithmeticError(
-                f"c-sum not converged by c = {c_cap}: partial-sum spread {tail:.3e} "
+                f"c-sum not converged by c = {_C_CAP}: partial-sum spread {tail:.3e} "
                 f"above tolerance {tol_c:.3e}")
-        q = KloostermanQuery(m2 % c, m1 % c, n, c, req.omega)
-        S = kloosterman(q, "factored")
-        term = pref * S / c * jint(A / c)
+        term = _c_term(req, c, jint, A / c)
         total += term
         if return_terms:
             terms.append((c, term))
@@ -325,63 +328,34 @@ def cuspidal_from_data(req: KtfRequest, data: list[SpectralDatum]) -> complex:
 # classical-derivation cross-checks
 
 
-def _ell_decomposition(req: KtfRequest):
-    """(ell, omega-bar(ell), derived (m1', m2')) for ell | (n, m1)."""
-    out = []
-    for ell in arith.divisors(math.gcd(req.n, req.m1)):
-        w = np.conj(req.omega(ell))
-        out.append((ell, w, req.n * req.m1 // (ell * ell), req.m2))
-    return out
-
-
 def classical_crosscheck(req: KtfRequest, k_terms: int = 40) -> dict[str, float]:
     """Relative per-term deltas between Theorem-main and the ell-summed n=1 route.
 
-    The Kloosterman sides use the matched truncation c <= k_terms * N, under
-    which the Selberg-identity rearrangement is exact term by term.
+    The n = 1 route sums conj(omega'(ell)) times the terms of the request
+    (N, 1, n m1 / ell^2, m2) over ell | (n, m1).  The Kloosterman sides use the
+    matched truncation c <= k_terms * N, under which the Selberg-identity
+    rearrangement is exact term by term: the ell-term at c is the direct term
+    at ell c, and Jint(A / (ell c)) shares its cache entry.
     """
-    # --- main term
-    direct_main = geo_main(req)
-    via = 0j
-    for ell, w, M1, M2 in _ell_decomposition(req):
-        if w == 0:
-            continue
-        sub = KtfRequest(req.N, req.omega, 1, M1, M2, req.h, req.abs_tol)
-        via += w * geo_main(sub)
-    d_main = abs(direct_main - via) / max(1.0, abs(direct_main))
-
-    # --- kloosterman term, matched truncation c <= C both routes
     jint = _jint_cache(req.h)
     C = k_terms * req.N
     A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
-    pref = 2j * arith.psi(req.N) / math.pi
 
-    direct_k = 0j
-    for c in range(req.N, C + 1, req.N):
-        S = kloosterman(KloostermanQuery(req.m2 % c, req.m1 % c, req.n, c, req.omega),
-                        "factored")
-        direct_k += pref * S / c * jint(A / c)
-    via_k = 0j
-    for ell, w, M1, M2 in _ell_decomposition(req):
-        if w == 0:
-            continue
-        for cp in range(req.N, C // ell + 1, req.N):
-            S = kloosterman(KloostermanQuery(M2 % cp, M1 % cp, 1, cp, req.omega),
-                            "factored")
-            via_k += w * pref * S / cp * jint(A / (ell * cp))
-    d_kloos = abs(direct_k - via_k) / max(1.0, abs(direct_k), abs(via_k))
+    def terms(r: KtfRequest, ell: int) -> tuple[complex, complex, complex]:
+        kloos = sum((_c_term(r, c, jint, A / (ell * c)) for c in range(r.N, C // ell + 1, r.N)),
+                    0j)
+        return geo_main(r), kloos, spec_continuous(r)[0]
 
-    # --- continuous term, shared grid
-    direct_c = spec_continuous(req)[0]
-    via_c = 0j
-    for ell, w, M1, M2 in _ell_decomposition(req):
-        if w == 0:
-            continue
-        sub = KtfRequest(req.N, req.omega, 1, M1, M2, req.h, req.abs_tol)
-        via_c += w * spec_continuous(sub)[0]
-    d_cont = abs(direct_c - via_c) / max(1.0, abs(direct_c), abs(via_c))
-
-    return {"geo_main": d_main, "geo_kloosterman": d_kloos, "spec_continuous": d_cont}
+    direct = terms(req, 1)
+    via = (0j, 0j, 0j)
+    for ell in arith.divisors(math.gcd(req.n, req.m1)):
+        sub = KtfRequest(req.N, req.omega, 1, req.n * req.m1 // (ell * ell), req.m2, req.h,
+                         req.abs_tol)
+        w = np.conj(req.omega(ell))
+        via = tuple(v + w * x for v, x in zip(via, terms(sub, ell)))
+    return {name: float(abs(d - v) / max(1.0, abs(d), abs(v)))
+            for name, d, v in zip(("geo_main", "geo_kloosterman", "spec_continuous"),
+                                  direct, via)}
 
 
 def hecke_sigma_identity(n: int, m: int, e: EisensteinBasisElement,

@@ -44,7 +44,6 @@ class TestFunction:
     family: str
     params: tuple[float, ...]
     strip_halfwidth: float = 1.0
-    decay_exponent: float = 8.0
     nonnegative: bool = True
 
     def __call__(self, t):
@@ -424,6 +423,7 @@ def v_zero(h: TestFunction, route: str = "pipeline") -> float:
 
 
 _ZAGIER_PANELS = 2048  # order-12 panels of zagier_transform's v-integral
+_ZAGIER_MAX_PANELS = 2**14  # 16-node panels zagier_hat's geometric route may take
 
 
 def zagier_transform(h: TestFunction, t: float) -> float:
@@ -480,25 +480,28 @@ def zagier_hat(h: TestFunction, a: float, route: str = "bessel") -> float:
     {t, v >= 0, t^2 + v^2 >= 4}, with int_0^{pi/2} cos(x cos th) dth =
     (pi/2) J_0(x) (DLMF 10.9.1), it is pi^2 int_2^{r_max} V(r^2 - 4)
     J_0(2 pi a r) r dr, r_max^2 = 4 + V's support at 1e-12, on one panel per
-    period 1/a of J_0 plus 16: the cost grows with a * r_max.
+    period 1/a of J_0 plus 16: the cost grows with a * r_max, and more than
+    _ZAGIER_MAX_PANELS panels raise ValueError.  The Bessel route is
+    -Im Jint(4 pi a) / (4a), with the Jint of the trace formula's c-series.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     if route == "geometric":
         V = get_pipeline(h).V
-        r_max = math.sqrt(4.0 + V.effective_support(1e-12))
-        rs, ws = gl_panels(2.0, r_max, int((r_max - 2.0) * a) + 16, 16)
+        support = V.effective_support(1e-12)
+        r_max = math.sqrt(4.0 + support)
+        panels = int((r_max - 2.0) * a) + 16
+        if panels > _ZAGIER_MAX_PANELS:
+            raise ValueError(f"geometric route needs {panels} panels for V's support "
+                             f"{support:.3e} at a = {a:g}, above {_ZAGIER_MAX_PANELS}")
+        rs, ws = gl_panels(2.0, r_max, panels, 16)
         table, path = [], []  # one J_0 coefficient table and ODE path for all r
         j0 = np.array([j2it_values(np.zeros(1), 2.0 * math.pi * a * r, table, path)[0].real
                        for r in rs])
         return float(math.pi**2 * np.sum(ws * V(rs * rs - 4.0) * j0 * rs))
     if route == "bessel":
-        pipe = get_pipeline(h)
-        panels = max(48, int(pipe.T * (2.0 + abs(math.log(2.0 * math.pi * a)))))
-        ts, ws = gl_panels(0.0, pipe.T, panels, 16)
-        jv = j2it_values(ts, 4.0 * math.pi * a)
-        integrand = np.imag(jv) * np.real(np.asarray(h(ts))) * ts / np.cosh(np.pi * ts)
-        return float(-np.sum(ws * integrand) / (2.0 * a))
+        from .ktf import _jint_cache  # ktf imports this module
+        return -_jint_cache(h)(4.0 * math.pi * a).imag / (4.0 * a)
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -1,4 +1,3 @@
-import functools
 import json
 import subprocess
 import sys
@@ -70,6 +69,7 @@ def test_index_out_of_range_is_usage_error(capsys):
     ("ktf --N 7 --h bogus:1", "unknown test function family 'bogus'"),
     ("crosscheck --N 5 --n 5 --m1 1 --m2 1 --h gaussian:1", "need n >= 1 coprime to N"),
     ("zagier --h gaussian:x --a 1", "could not convert"),
+    ("zagier --h gaussian:1 --a 200", "geometric route needs"),
     ("kloosterman --a 1 --b 1 --n 1 --c 10 --modulus 3", "need chi modulus | c"),
 ])
 def test_flag_outside_domain_is_usage_error(argv, message, capsys):
@@ -80,8 +80,7 @@ def test_flag_outside_domain_is_usage_error(argv, message, capsys):
 
 def test_unconverged_c_series_is_tolerance_exit(monkeypatch, capsys):
     from ktf_kit import ktf
-    monkeypatch.setattr(ktf, "geo_kloosterman",
-                        functools.partial(ktf.geo_kloosterman, c_cap=70))
+    monkeypatch.setattr(ktf, "_C_CAP", 70)
     code, out, err = run_cli(["ktf", "--N", "7", "--h", "gaussian:1"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: c-sum not converged by c = 70")
@@ -198,6 +197,14 @@ def test_reproducibility(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+def test_runtime_imports_numpy_only():
+    code = ("import sys, ktf_kit, ktf_kit.cli\n"
+            "print(*sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == ""
 
 
 def test_console_script_help():

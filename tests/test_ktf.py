@@ -271,6 +271,14 @@ def test_classical_crosscheck_nontrivial_omega():
     assert max(d.values()) <= 1e-8
 
 
+def test_classical_crosscheck_shares_jint_arguments():
+    # the ell = 2 term at c is the direct term at 2c, so both sides read one
+    # Jint argument per c <= 24 N
+    _jint_cache.cache_clear()
+    classical_crosscheck(req_for(5, n=4, m1=6, m2=1), k_terms=24)
+    assert len(_jint_cache(H)._cache) == 24
+
+
 def test_hecke_sigma_identity_random():
     rng = random.Random(99)
     checked = 0

@@ -153,6 +153,9 @@ def test_zagier_hat_rejects():
         zagier_hat(GAUSS, -1.0)
     with pytest.raises(ValueError):
         zagier_hat(GAUSS, 1.0, "spectral")
+    # 16,800 panels over V's support 1.142e4 at a = 160, refused before it allocates
+    with pytest.raises(ValueError, match=r"16800 panels for V's support 1\.142e\+04 at a = 160"):
+        zagier_hat(GAUSS, 160.0, "geometric")
 
 
 @pytest.mark.parametrize("h,tol", [(GAUSS, 1e-6), (WINDOW, 1e-5)])
