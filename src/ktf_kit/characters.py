@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class DirichletCharacter:
 
     # -- conductor and induction -------------------------------------------------
 
-    @property
+    @cached_property  # kept in the instance __dict__, outside the frozen fields
     def conductor(self) -> int:
         return _conductor(self)
 

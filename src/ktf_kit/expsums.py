@@ -187,13 +187,24 @@ def kloosterman(q: KloostermanQuery, mode: str = "direct") -> complex:
     raise ValueError(f"unknown kloosterman mode {mode!r}")
 
 
-def _kloosterman_direct(a: int, b: int, n: int, c: int, chi: DirichletCharacter) -> complex:
+# The plans below hold the (a, b)-free work of a query, per (n, c, chi).  Every
+# caller walks (a, b) innermost for a fixed key, so a key's calls come back to
+# back and a small cache hits on all but the first; a c-series asks each key once.
+_PLANS = 256
+
+
+@lru_cache(maxsize=_PLANS)
+def _direct_plan(n: int, c: int, chi: DirichletCharacter):
+    """(conj(chi) at X mod N, X, X') over the pairs x x' = n in Z/cZ."""
     X, XP = _pairs(n, c)
+    return np.conj(_chi_values(chi))[X % chi.modulus], X, XP
+
+
+def _kloosterman_direct(a: int, b: int, n: int, c: int, chi: DirichletCharacter) -> complex:
     if c == 1:
         return 1.0 + 0j
-    vals = np.conj(_chi_values(chi))[X % chi.modulus]
-    ph = _phase(c)[(a * X + b * XP) % c]
-    return complex(np.sum(vals * ph))
+    vals, X, XP = _direct_plan(n, c, chi)
+    return complex((vals * _phase(c)[(a * X + b * XP) % c]).sum())
 
 
 @lru_cache(maxsize=None)
@@ -201,22 +212,31 @@ def _local_component_cached(chi: DirichletCharacter, p: int, q: int) -> Dirichle
     return local_component(chi, p, q)
 
 
+@lru_cache(maxsize=_PLANS)
+def _local_plan(n: int, c: int, chi: DirichletCharacter):
+    """One entry per q = p^e || c: (q, ia, ib, p^k, chi_p), with p^k || n.
+
+    ia = (c/q)^-1 mod q and ib = ia (n/p^k) mod q, so the local factor at q of
+    S_chi(a, b; n; c) is S(a ia, b ib; p^k; q) twisted by chi_p, the p-part of
+    chi (None when p does not divide N).
+    """
+    plan = []
+    for p, e in arith.factor(c):
+        q = p**e
+        ia = arith.inv_mod(c // q % q, q)
+        pk = p ** arith.ord_p(n, p)
+        chi_p = _local_component_cached(chi, p, q) if chi.modulus % p == 0 else None
+        plan.append((q, ia, ia * (n // pk % q) % q, pk, chi_p))
+    return tuple(plan)
+
+
 def _kloosterman_factored(a: int, b: int, n: int, c: int, chi: DirichletCharacter,
                           salie: bool) -> complex:
-    N = chi.modulus
     total = 1.0 + 0j
-    for p, cp in arith.factor(c):
-        q = p**cp
-        c_other = c // q
-        inv_co = arith.inv_mod(c_other % q, q)
-        np_ = arith.ord_p(n, p)
-        n_other = n // p**np_
-        aa = a * inv_co % q
-        bb = b * inv_co % q * (n_other % q) % q
-        chi_p = _local_component_cached(chi, p, q) if N % p == 0 else None
+    for q, ia, ib, pk, chi_p in _local_plan(n, c, chi):
         # the flag only selects a route for a twisted factor; an untwisted one
         # shares its cache entry with both modes
-        total *= kloosterman_local(aa, bb, p**np_, q, chi_p,
+        total *= kloosterman_local(a * ia % q, b * ib % q, pk, q, chi_p,
                                    salie=salie and chi_p is not None)
     return complex(total)
 
@@ -444,6 +464,14 @@ class WeilCertificate:
     satisfied: tuple[bool, bool]
 
 
+@lru_cache(maxsize=_PLANS)
+def _weil_plan(n: int, c: int, cchi: int):
+    """The g-free factors of _weil_bounds: tau(n) tau(c), sqrt(c), sqrt(cchi),
+    cchi^{1/4} and the p^{1/4} for p | cchi."""
+    return (arith.tau(abs(n)) * arith.tau(c), math.sqrt(c), math.sqrt(cchi), cchi**0.25,
+            tuple(p**0.25 for p in arith.factor(cchi).primes()))
+
+
 def _weil_bounds(g, n: int, c: int, cchi: int):
     """(bound1, bound2), the conductor-aware Weil bounds on |S_chi(a, b; n; c)|.
 
@@ -451,11 +479,12 @@ def _weil_bounds(g, n: int, c: int, cchi: int):
     Both bounds are tau(n) tau(c) sqrt(g c) times sqrt(cchi), resp.
     cchi^{1/4} prod_{p | cchi} p^{1/4}.
     """
-    base = arith.tau(abs(n)) * arith.tau(c) * g**0.5 * math.sqrt(c)
-    b2 = base * cchi**0.25
-    for p, _ in arith.factor(cchi):
-        b2 *= p**0.25
-    return base * math.sqrt(cchi), b2
+    tt, sqrt_c, sqrt_cchi, cchi_4, p_4 = _weil_plan(n, c, cchi)
+    base = tt * g**0.5 * sqrt_c
+    b2 = base * cchi_4
+    for f in p_4:
+        b2 *= f
+    return base * sqrt_cchi, b2
 
 
 def weil_certificate(q: KloostermanQuery) -> WeilCertificate:

@@ -197,12 +197,13 @@ _jint_cache = lru_cache(maxsize=16)(_JIntegralCache)
 
 _TAIL_WINDOW = 48  # trailing partial sums whose spread is the tail_bound
 _C_CAP = 1_500_000  # the c-series raises ArithmeticError past this modulus
+_MIN_TERMS = 64  # the c-series never stops before this many terms
 
 
-def _c_term(req: KtfRequest, c: int, jint: _JIntegralCache, x: float) -> complex:
-    """(2i psi(N)/pi) S(m2,m1;n;c)/c Jint(x), one term of the c-series."""
+def _c_term(req: KtfRequest, c: int, jint: _JIntegralCache, x: float, scale: complex) -> complex:
+    """scale S(m2,m1;n;c)/c Jint(x), one term of the c-series; scale = 2i psi(N)/pi."""
     S = kloosterman(KloostermanQuery(req.m2 % c, req.m1 % c, req.n, c, req.omega), "factored")
-    return 2j * arith.psi(req.N) / math.pi * S / c * jint(x)
+    return scale * S / c * jint(x)
 
 
 def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
@@ -215,6 +216,7 @@ def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
     """
     jint = _jint_cache(req.h)
     A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
+    scale = 2j * arith.psi(req.N) / math.pi
     tol_c = req.abs_tol * arith.psi(req.N)
     half_tol = tol_c / 2
     total = 0j
@@ -225,17 +227,19 @@ def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
         k += 1
         c = k * req.N
         if c > _C_CAP:
-            tail = max(abs(t0 - total) for t0 in history) if k > 64 else math.inf
-            raise ArithmeticError(
-                f"c-sum not converged by c = {_C_CAP}: partial-sum spread {tail:.3e} "
-                f"above tolerance {tol_c:.3e}")
-        term = _c_term(req, c, jint, A / c)
+            if k <= _MIN_TERMS:
+                why = f"{k - 1} terms summed, below the {_MIN_TERMS}-term minimum"
+            else:
+                tail = max(abs(t0 - total) for t0 in history)
+                why = f"partial-sum spread {tail:.3e} above tolerance {tol_c:.3e}"
+            raise ArithmeticError(f"c-sum not converged by c = {_C_CAP}: {why}")
+        term = _c_term(req, c, jint, A / c, scale)
         total += term
         if return_terms:
             terms.append((c, term))
         history.append(total)
         # one partial sum at distance >= half_tol already means "not converged"
-        if k >= 64 and all(abs(t0 - total) < half_tol for t0 in history):
+        if k >= _MIN_TERMS and all(abs(t0 - total) < half_tol for t0 in history):
             break
     tail = max(abs(t0 - total) for t0 in history)
     if return_terms:
@@ -342,8 +346,9 @@ def classical_crosscheck(req: KtfRequest, k_terms: int = 40) -> dict[str, float]
     A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
 
     def terms(r: KtfRequest, ell: int) -> tuple[complex, complex, complex]:
-        kloos = sum((_c_term(r, c, jint, A / (ell * c)) for c in range(r.N, C // ell + 1, r.N)),
-                    0j)
+        scale = 2j * arith.psi(r.N) / math.pi
+        kloos = sum((_c_term(r, c, jint, A / (ell * c), scale)
+                     for c in range(r.N, C // ell + 1, r.N)), 0j)
         return geo_main(r), kloos, spec_continuous(r)[0]
 
     direct = terms(req, 1)

@@ -84,6 +84,9 @@ def test_unconverged_c_series_is_tolerance_exit(monkeypatch, capsys):
     code, out, err = run_cli(["ktf", "--N", "7", "--h", "gaussian:1"], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: c-sum not converged by c = 70")
+    # N = 7 reaches the cap after 10 terms, before the 64-term minimum
+    assert "10 terms summed, below the 64-term minimum" in err
+    assert "inf" not in err
 
 
 def test_weil_scan_csv(tmp_path, capsys):

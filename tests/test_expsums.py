@@ -23,8 +23,10 @@ from ktf_kit.expsums import (
     twisted_kloosterman,
     weil_certificate,
 )
+from ktf_kit.transforms import TestFunction
 
 TRIV = DirichletCharacter.principal(1)
+H_GAUSS = TestFunction.gaussian(1.0)
 PROPERTY = settings(max_examples=60, deadline=None)
 SMALL_LEVELS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
 
@@ -196,6 +198,72 @@ def test_untwisted_local_factor_is_cached_once_for_both_modes():
     assert kloosterman_local.cache_info().misses == 1
 
 
+# ------------------------------------------------------------------ plans
+
+PLAN_CACHES = (expsums._direct_plan, expsums._local_plan, expsums._weil_plan)
+ROUTES = ("direct", "factored", "salie")
+
+
+def test_factored_route_builds_no_pair_tables():
+    # _pairs is an O(c) Python loop, and the c-series reaches c = 1.5e6
+    from ktf_kit import ktf
+    expsums._pairs.cache_clear()
+    req = ktf.KtfRequest(1009, DirichletCharacter.principal(1009), 1, 1, 1, H_GAUSS)
+    ktf.geo_kloosterman(req)
+    for q in (KloostermanQuery(3, 5, 2, 60, enumerate_characters(12)[3]),
+              KloostermanQuery(1, 7, -4, 2018, DirichletCharacter.principal(1009)),
+              KloostermanQuery(0, 9, 1, 121, TRIV)):
+        weil_certificate(q)
+    assert expsums._pairs.cache_info().currsize == 0
+
+
+def _clear_plans():
+    for cache in (*PLAN_CACHES, kloosterman_local):
+        cache.cache_clear()
+
+
+@PROPERTY
+@given(st.data())
+def test_no_plan_leaks_between_keys(data):
+    # queries that share (c, chi) but not n, and (n, c) but not chi, evaluated
+    # interleaved, equal their values computed from empty caches
+    N = data.draw(st.sampled_from([N for N in SMALL_LEVELS if N > 2]))
+    c = N * data.draw(st.integers(1, 8))
+    chi1, chi2 = data.draw(st.lists(st.sampled_from(enumerate_characters(N)),
+                                    min_size=2, max_size=2, unique=True))
+    n1, n2 = data.draw(st.lists(st.integers(-12, 12).filter(lambda n: n != 0),
+                                min_size=2, max_size=2, unique=True))
+    a, b = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, c - 1))
+    qs = [KloostermanQuery(a, b, n1, c, chi1), KloostermanQuery(a, b, n2, c, chi1),
+          KloostermanQuery(a, b, n1, c, chi2), KloostermanQuery(a, b, n2, c, chi2)]
+    warm = [(kloosterman(q, mode), weil_certificate(q)) for q in qs for mode in ROUTES]
+    cold = []
+    for q in qs:
+        for mode in ROUTES:
+            _clear_plans()
+            value = kloosterman(q, mode)
+            _clear_plans()
+            cold.append((value, weil_certificate(q)))
+    assert warm == cold
+
+
+def test_plan_caches_stay_bounded():
+    list(expsums.weil_scan_rows(30, 12))
+    for cache in PLAN_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == expsums._PLANS and info.currsize <= expsums._PLANS
+
+
+def test_unbounded_caches_are_allow_listed():
+    # a new cache in expsums has to be bounded: memory must not grow with the
+    # length of a c-series
+    allowed = {"_pairs", "_chi_values", "_local_component_cached"}
+    unbounded = {name for name, f in vars(expsums).items()
+                 if callable(getattr(f, "cache_info", None)) and f.cache_info().maxsize is None}
+    assert "_pairs" in unbounded  # the lint sees the caches it lists
+    assert unbounded <= allowed, sorted(unbounded - allowed)
+
+
 def test_swap_and_scaling():
     for chi in enumerate_characters(9):
         for a, b in ((1, 2), (4, 7), (0, 5)):
@@ -248,6 +316,20 @@ def test_p3_witness():
 def test_weil_zero_value_satisfied():
     cert = weil_certificate(KloostermanQuery(1, 1, 1, 25, DirichletCharacter.principal(5)))
     assert cert.satisfied[0] and cert.satisfied[1]
+
+
+def test_weil_bounds_match_their_closed_form():
+    # bit for bit, so any reordering of the factors shows
+    for q in scan_queries(24, 6, n_values=(1, 2, -3, 4, 12), ab_pairs_per_c=4):
+        cert = weil_certificate(q)
+        g = math.gcd(math.gcd(abs(q.a * q.n), abs(q.b * q.n)), q.c)
+        cchi = q.chi.conductor
+        base = arith.tau(abs(q.n)) * arith.tau(q.c) * g**0.5 * math.sqrt(q.c)
+        bound2 = base * cchi**0.25
+        for p in arith.factor(cchi).primes():
+            bound2 *= p**0.25
+        assert cert.bound1 == base * math.sqrt(cchi), q
+        assert cert.bound2 == bound2, q
 
 
 def test_weil_classical_small_grid():
