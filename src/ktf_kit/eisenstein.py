@@ -14,14 +14,17 @@ one call each.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
 import numpy as np
 
 from . import arith
 from .characters import CharacterPair, DirichletCharacter, induce, pairs_with_product
-from .expsums import _chi_values, gauss_sum
+from .expsums import gauss_sum
 from .specfun import bessel_K, gamma_complex, gl_panels
 
 # ----------------------------------------------------------------------------
@@ -166,19 +169,26 @@ class EisensteinBasisElement:
                 out *= p ** arith.ord_p(N, p)
         return out
 
-    @property
+    @cached_property  # kept in the instance __dict__, outside the frozen fields
     def chi1p(self) -> DirichletCharacter:
         return induce(self.pair.chi1.primitive(), self.N1)
 
-    @property
+    @cached_property
     def chi2p(self) -> DirichletCharacter:
         return induce(self.pair.chi2.primitive(), self.N2)
 
-    @property
+    @cached_property
     def chi2_on_M(self) -> DirichletCharacter:
         return induce(self.pair.chi2.primitive(), self.M)
 
-    @property
+    @cached_property
+    def denominator_character(self) -> DirichletCharacter:
+        """conj(chi-tilde-1) * chi-tilde-2 as a character mod N."""
+        N = self.level
+        return induce(self.pair.chi1.primitive(), N).conj().mul(
+            induce(self.pair.chi2.primitive(), N))
+
+    @cached_property
     def constant(self) -> complex:
         """C_{(i_p)} = prod_{p | N1} conj(chi_{1p}(M / p^{i_p})), unimodular.
 
@@ -224,13 +234,7 @@ def enumerate_basis(N: int, omega: DirichletCharacter) -> list[EisensteinBasisEl
             lo = arith.ord_p(c2, p) if c2 % p == 0 else 0
             hi = k - (arith.ord_p(c1, p) if c1 % p == 0 else 0)
             ranges.append([(p, i) for i in range(lo, hi + 1)])
-        def rec(idx, acc):
-            if idx == len(ranges):
-                out.append(EisensteinBasisElement(pair, tuple(acc)))
-                return
-            for item in ranges[idx]:
-                rec(idx + 1, acc + [item])
-        rec(0, [])
+        out += [EisensteinBasisElement(pair, ip) for ip in itertools.product(*ranges)]
     return out
 
 
@@ -290,12 +294,6 @@ def lambda_n_eis(n: int, pair: CharacterPair, s: complex | np.ndarray) -> comple
 # Eisenstein series evaluation
 
 
-def _denominator_character(e: EisensteinBasisElement) -> DirichletCharacter:
-    """conj(chi-tilde-1) * chi-tilde-2 as a character mod N."""
-    N = e.level
-    return induce(e.pair.chi1.primitive(), N).conj().mul(induce(e.pair.chi2.primitive(), N))
-
-
 def _asymptotic_J(rho: complex, v0: float) -> complex:
     """int_{v0}^inf (v^2+1)^{-rho} dv for Re(2 rho) > 1."""
     if v0 < 4.0:
@@ -311,15 +309,14 @@ def _asymptotic_J(rho: complex, v0: float) -> complex:
     return total
 
 
-def _row_sum(c: int, x: float, y: float, rho: complex, chi2p: DirichletCharacter) -> complex:
-    """R_c = sum_{d in Z} chi2'(d) ((d + cx)^2 + (cy)^2)^{-rho}, completed tails."""
-    N2 = chi2p.modulus
+def _row_sum(c: int, x: float, y: float, rho: complex, vals: np.ndarray) -> complex:
+    """R_c = sum_{d in Z} chi2'(d) ((d + cx)^2 + (cy)^2)^{-rho}, completed tails; vals = chi2'."""
+    N2 = len(vals)
     gam = c * y
     D = max(80.0, 12.0 * gam, 12.0 * N2) + abs(c * x)
     lo = int(math.floor(-c * x - D))
     hi = int(math.ceil(-c * x + D))
     d = np.arange(lo, hi + 1)
-    vals = _chi_values(chi2p)
     w = vals[d % N2]
     base = (d + c * x) ** 2 + gam * gam
     total = complex(np.sum(w * np.exp(-rho * np.log(base))))
@@ -354,7 +351,7 @@ def _row_sum(c: int, x: float, y: float, rho: complex, chi2p: DirichletCharacter
 
 
 def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
-                    mode: str = "fourier", m_cap: int = 64) -> complex:
+                    mode: str = "fourier") -> complex:
     """E_phi(s, z) for the scaled basis element (phi divided by its constant).
 
     direct: row-completed lattice sum (Re s > 1/2);
@@ -367,7 +364,7 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
         raise ValueError("z must be in the upper half-plane")
     N = e.level
     chi10 = 1.0 if e.N1 == 1 else 0.0
-    den_char = _denominator_character(e)
+    den_char = e.denominator_character
     has_pole = e.pair.chi1.conductor == 1 and e.pair.chi2.conductor == 1
 
     if mode == "direct":
@@ -376,6 +373,7 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
         rho = 0.5 + s
         M = e.M
         chi1p, chi2p = e.chi1p, e.chi2p
+        chi2_vals = chi2p.values()
         denL = dirichlet_L(den_char, 1 + 2 * s)
         # rows c = M c~ ; stop when the exponential row remainder certifies out
         C = int(max(40, 14.0 * e.N2 / (math.pi * y), 40 / M)) + 1
@@ -384,7 +382,7 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
             w1 = np.conj(chi1p(ct)) if e.N1 > 1 else 1.0
             if w1 == 0:
                 continue
-            F += w1 * _row_sum(M * ct, x, y, rho, chi2p)
+            F += w1 * _row_sum(M * ct, x, y, rho, chi2_vals)
         # polynomial tail from the row integrals, weighted by the sum W2 of chi2'
         # over a period: phi(N2) for a principal chi2', and 0 otherwise
         if chi2p.is_principal():
@@ -392,7 +390,7 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
             I0 = 2.0 * _asymptotic_J(rho, 0.0)
             tail = 0j
             for a in range(1, e.N1 + 1):
-                w1 = np.conj(e.chi1p(a)) if e.N1 > 1 else 1.0
+                w1 = np.conj(chi1p(a)) if e.N1 > 1 else 1.0
                 if w1 == 0:
                     continue
                 k0 = (C - a) // e.N1 + 1  # first row index a + N1 k0 above C
@@ -420,7 +418,7 @@ def eisenstein_eval(e: EisensteinBasisElement, s: complex, z: complex,
     # K-Bessel series
     pref = 2.0 * math.sqrt(y) * cmath.exp((0.5 + s) * math.log(math.pi)) / (g_half_s * denL)
     acc = 0j
-    for m in range(1, m_cap + 1):
+    for m in range(1, 65):  # at most 64 terms
         k = bessel_K(s, 2 * math.pi * m * y)
         term_p = (cmath.exp(s * math.log(m)) * sigma_s(e, m, s) * k
                   * cmath.exp(2j * math.pi * m * x))

@@ -67,9 +67,9 @@ def _gc_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def measure_moment(mu: Measure, i: int, j: int, n_nodes: int = 80) -> float:
-    """int X_i X_j dmu by Gauss-Chebyshev quadrature (exact for polynomials)."""
-    x, w = _gc_nodes(n_nodes)
+def measure_moment(mu: Measure, i: int, j: int) -> float:
+    """int X_i X_j dmu by 80-node Gauss-Chebyshev quadrature (exact for polynomials)."""
+    x, w = _gc_nodes(80)
     vals = chebyshev_eval(i, x) * chebyshev_eval(j, x) * mu.density_factor(x)
     return float(np.sum(w * vals))
 

@@ -70,24 +70,33 @@ def _phase(c: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(c) / c)
 
 
-@lru_cache(maxsize=None)
+# The plans and pair tables below hold the (a, b)-free work of a query, per
+# (n, c, chi) or (n, c).  Every caller walks (a, b) innermost for a fixed key, so a
+# key's calls come back to back and a small cache hits on all but the first; a
+# c-series asks each key once.
+_PLANS = 256
+
+
+@lru_cache(maxsize=_PLANS)
 def _pairs(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (x, x') in (Z/c)^2 with x*x' = n mod c, as two int arrays."""
-    if c == 1:
-        return np.array([0]), np.array([0])
+    """All (x, x') in (Z/c)^2 with x*x' = n mod c, as two int64 arrays sorted by x.
+
+    For each g | gcd(n, c) the x with gcd(x, c) = g are g x0 for the units x0
+    mod c/g, and their x' are x0^-1 (n/g) + k c/g for k < g; a stable sort on x
+    merges the blocks.  So _pairs(1, q) is _units(q).
+    """
+    if n % c == 1 % c:
+        return _units(c)
     xs, xps = [], []
-    n_mod = n % c
-    for x in range(c):
-        g = math.gcd(x, c)
-        if n_mod % g != 0:
-            continue
+    for g in arith.divisors(math.gcd(n, c)):
         cg = c // g
-        x0 = (x // g) % cg
-        base = (pow(x0, -1, cg) * ((n_mod // g) % cg)) % cg if cg > 1 else 0
-        for k in range(g):
-            xs.append(x)
-            xps.append(base + k * cg)
-    return np.array(xs, dtype=np.int64), np.array(xps, dtype=np.int64)
+        x0, inv = _units(cg)
+        base = inv * (n // g % cg) % cg
+        xs.append(np.repeat(g * x0, g))
+        xps.append((base[:, None] + cg * np.arange(g)).ravel())
+    X, XP = np.concatenate(xs), np.concatenate(xps)
+    order = np.argsort(X, kind="stable")
+    return X[order], XP[order]
 
 
 @lru_cache(maxsize=None)
@@ -100,12 +109,14 @@ def _chi_values(chi: DirichletCharacter) -> np.ndarray:
 def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Units x mod q in increasing order and their inverses, as two int64 arrays.
 
-    The units are np.arange(q) masked by the primes of q, and the inverses are
-    x^(phi(q) - 1) mod q by square-and-multiply on the whole array.  Every
-    product is below q^2, so the domain is q^2 < 2^63 (q <= 3037000499), and a
-    larger q raises ValueError; the c-series stops at ktf._C_CAP = 1.5e6, far
-    inside it.  The tables of recent moduli are kept, at most _TABLE_BUDGET = 2^19
-    residues in all (8 MB), dropping the largest moduli first.
+    This is the pair table _pairs(1, q), and every _pairs(n, c) is built from
+    these tables.  The units are np.arange(q) masked by the primes of q, and the
+    inverses are x^(phi(q) - 1) mod q by square-and-multiply on the whole array.
+    Every product is below q^2, so the domain is q^2 < 2^63 (q <= 3037000499),
+    and a larger q raises ValueError; the c-series stops at ktf._C_CAP = 1.5e6.
+    At most _TABLE_BUDGET = 2^19 residues are kept in all (8 MB), largest moduli
+    dropped first: _classical_kloosterman reads these tables, not a plan, so the
+    new modulus of each c-series term falls under this budget.
     """
     if q == 1:
         return np.array([0]), np.array([0])
@@ -187,12 +198,6 @@ def kloosterman(q: KloostermanQuery, mode: str = "direct") -> complex:
     raise ValueError(f"unknown kloosterman mode {mode!r}")
 
 
-# The plans below hold the (a, b)-free work of a query, per (n, c, chi).  Every
-# caller walks (a, b) innermost for a fixed key, so a key's calls come back to
-# back and a small cache hits on all but the first; a c-series asks each key once.
-_PLANS = 256
-
-
 @lru_cache(maxsize=_PLANS)
 def _direct_plan(n: int, c: int, chi: DirichletCharacter):
     """(conj(chi) at X mod N, X, X') over the pairs x x' = n in Z/cZ."""
@@ -261,8 +266,6 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
     if n < 1 or (n > 1 and arith.factor(n).primes() != (p,)):
         raise ValueError("n must be a power of the modulus prime")
     k = arith.ord_p(n, p) if n > 1 else 0
-    if ell < 1:
-        raise ValueError("need ell >= 1")
     if chi_p is not None:
         return twisted_kloosterman(a, b * p**k, modulus, chi_p,
                                    mode="salie" if salie else "direct")
@@ -316,12 +319,7 @@ def twisted_kloosterman(a: int, b: int, q: int, chi: DirichletCharacter,
     if chi.modulus != q:
         raise ValueError("twisted_kloosterman wants chi defined mod q")
     if mode == "direct":
-        if q == 1:
-            return 1.0 + 0j
-        xs, inv = _units(q)
-        vals = np.conj(_chi_values(chi))[xs]
-        ph = _phase(q)[(a * xs + b * inv) % q]
-        return complex(np.sum(vals * ph))
+        return _kloosterman_direct(a, b, 1, q, chi)
     if mode == "salie":
         return salie_eval(a, b, q, chi)
     raise ValueError(f"unknown mode {mode!r}")
@@ -389,8 +387,6 @@ def salie_eval(a: int, b: int, q: int, chi: DirichletCharacter) -> complex:
         return complex(arith.phi(q)) if chi.is_principal() else 0j
     if j > 0:
         q2 = p ** (ell - j)
-        if chi.conductor % q2 == 0 and chi.conductor > q2:
-            return 0j
         if arith.ord_p(chi.conductor, p) > ell - j:
             return 0j
         chi2 = local_component(chi, p, q2) if q2 > 1 else DirichletCharacter.principal(1)
@@ -487,13 +483,19 @@ def _weil_bounds(g, n: int, c: int, cchi: int):
     return base * sqrt_cchi, b2
 
 
+def _weil_holds(m, bound):
+    """The Weil verdict |S| <= bound with 1e-9 of absolute slack, on floats or arrays:
+    weil_certificate and equivalence_scan both read it."""
+    return m <= bound + 1e-9
+
+
 def weil_certificate(q: KloostermanQuery) -> WeilCertificate:
     """Value (factored route) plus the two certified conductor-aware bounds."""
     val = kloosterman(q, "factored")
     g = math.gcd(math.gcd(abs(q.a * q.n), abs(q.b * q.n)), q.c)
     b1, b2 = _weil_bounds(g, q.n, q.c, q.chi.conductor)
     m = abs(val)
-    return WeilCertificate(val, b1, b2, (m <= b1 + 1e-9, m <= b2 + 1e-9))
+    return WeilCertificate(val, b1, b2, (_weil_holds(m, b1), _weil_holds(m, b2)))
 
 
 # ----------------------------------------------------------------------------
@@ -611,6 +613,16 @@ def _ab_sample(c: int, count: int) -> list[tuple[int, int]]:
             for i in range(count)]
 
 
+def _scan_grid(max_c: int, max_N: int, ab_pairs_per_c: int):
+    """(c, (a, b) sample, N, characters mod N) for every c <= max_c and N | c, N <= max_N."""
+    from .characters import enumerate_characters
+    for c in range(1, max_c + 1):
+        ab = _ab_sample(c, ab_pairs_per_c)
+        for N in arith.divisors(c):
+            if N <= max_N:
+                yield c, ab, N, enumerate_characters(N)
+
+
 @dataclass
 class ScanReport:
     queries: int
@@ -626,45 +638,40 @@ def equivalence_scan(max_c: int, max_N: int, n_values: tuple[int, ...] = tuple(r
     """Compare direct, factored and Salie modes over the full deterministic grid.
 
     Direct values are computed in one complex matrix product per (c, N, n);
-    both Weil bounds are certified on every query.  Violations count at
-    every c, the largest |S| / bound ratios only at c > 1 (at c = 1 both are 1).
+    both Weil bounds are certified on every query, by the verdict of
+    weil_certificate.  Violations count at every c, the largest |S| / bound
+    ratios only at c > 1 (at c = 1 both are 1).
     """
-    from .characters import enumerate_characters
     count = 0
     worst_f = 0.0
     worst_s = 0.0
     violations = 0
     r1 = r2 = 0.0
-    for c in range(1, max_c + 1):
-        ab = _ab_sample(c, ab_pairs_per_c)
-        A = np.array([p[0] for p in ab], dtype=np.int64)
-        B = np.array([p[1] for p in ab], dtype=np.int64)
-        for N in arith.divisors(c):
-            if N > max_N:
-                continue
-            chars = enumerate_characters(N)
-            chi_T = np.vstack([np.conj(_chi_values(chi)) for chi in chars])
-            conductors = [chi.conductor for chi in chars]
-            for n in n_values:
-                X, XP = _pairs(n, c)
-                ph_M = _phase(c)[(A[:, None] * X[None, :] + B[:, None] * XP[None, :]) % c]
-                chi_M = chi_T[:, X % N] if N > 1 else np.ones((1, len(X)), dtype=complex)
-                direct = chi_M @ ph_M.T  # (n_chars, n_ab)
-                for ci, chi in enumerate(chars):
-                    for j, (a, b) in enumerate(ab):
-                        f = _kloosterman_factored(a, b, n, c, chi, salie=False)
-                        s = _kloosterman_factored(a, b, n, c, chi, salie=True)
-                        worst_f = max(worst_f, abs(direct[ci, j] - f))
-                        worst_s = max(worst_s, abs(direct[ci, j] - s))
-                        count += 1
-                g = np.gcd(np.gcd(A * n, B * n), c)
-                # (n_chars, 2, n_ab): |S| / bound1 and |S| / bound2 per query
-                q = np.abs(direct)[:, None, :] / np.array(
-                    [_weil_bounds(g, n, c, cchi) for cchi in conductors])
-                if c > 1:
-                    r1 = max(r1, float(q[:, 0].max()))
-                    r2 = max(r2, float(q[:, 1].max()))
-                violations += int(np.count_nonzero((q > 1 + 1e-9).any(axis=1)))
+    for c, ab, N, chars in _scan_grid(max_c, max_N, ab_pairs_per_c):
+        A, B = np.array(ab, dtype=np.int64).reshape(-1, 2).T
+        chi_T = np.vstack([np.conj(_chi_values(chi)) for chi in chars])
+        conductors = [chi.conductor for chi in chars]
+        for n in n_values:
+            X, XP = _pairs(n, c)
+            ph_M = _phase(c)[(A[:, None] * X[None, :] + B[:, None] * XP[None, :]) % c]
+            chi_M = chi_T[:, X % N] if N > 1 else np.ones((1, len(X)), dtype=complex)
+            direct = chi_M @ ph_M.T  # (n_chars, n_ab)
+            for ci, chi in enumerate(chars):
+                for j, (a, b) in enumerate(ab):
+                    f = _kloosterman_factored(a, b, n, c, chi, salie=False)
+                    s = _kloosterman_factored(a, b, n, c, chi, salie=True)
+                    worst_f = max(worst_f, abs(direct[ci, j] - f))
+                    worst_s = max(worst_s, abs(direct[ci, j] - s))
+                    count += 1
+            g = np.gcd(np.gcd(A * n, B * n), c)
+            # (n_chars, 2, n_ab): bound1 and bound2 per query
+            bounds = np.array([_weil_bounds(g, n, c, cchi) for cchi in conductors])
+            m = np.abs(direct)[:, None, :]
+            if c > 1:
+                q = m / bounds
+                r1 = max(r1, float(q[:, 0].max()))
+                r2 = max(r2, float(q[:, 1].max()))
+            violations += int(np.count_nonzero(~_weil_holds(m, bounds).all(axis=1)))
     return ScanReport(count, worst_f, worst_s, violations, r1, r2)
 
 
@@ -672,16 +679,11 @@ def scan_queries(max_c: int, max_N: int, n_values: tuple[int, ...] = tuple(range
                  ab_pairs_per_c: int = 20):
     """Deterministic query grid: every c <= max_c, every N | c with N <= max_N,
     every chi mod N, a deterministic (a, b) sample, n in n_values."""
-    from .characters import enumerate_characters
-    for c in range(1, max_c + 1):
-        abs_ = _ab_sample(c, ab_pairs_per_c)
-        for N in arith.divisors(c):
-            if N > max_N:
-                continue
-            for chi in enumerate_characters(N):
-                for n in n_values:
-                    for a, b in abs_:
-                        yield KloostermanQuery(a, b, n, c, chi)
+    for c, ab, N, chars in _scan_grid(max_c, max_N, ab_pairs_per_c):
+        for chi in chars:
+            for n in n_values:
+                for a, b in ab:
+                    yield KloostermanQuery(a, b, n, c, chi)
 
 
 def weil_scan_rows(max_c: int, max_N: int, n_values=tuple(range(1, 13)),

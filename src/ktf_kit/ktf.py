@@ -26,7 +26,6 @@ from . import arith
 from .characters import DirichletCharacter
 from .eisenstein import (
     EisensteinBasisElement,
-    _denominator_character,
     dirichlet_L,
     enumerate_basis,
     hurwitz_zeta,  # noqa: F401  not called here; bench/tracer.py finds the Hurwitz layer by it
@@ -267,7 +266,7 @@ class _ContinuousContext:
         self.hv = np.real(np.asarray(h(self.ts)))
         self.elements = []
         for e in enumerate_basis(N, omega):
-            Labs2 = np.abs(dirichlet_L(_denominator_character(e), 1 + 2j * self.ts)) ** 2
+            Labs2 = np.abs(dirichlet_L(e.denominator_character, 1 + 2j * self.ts)) ** 2
             self.elements.append((e, float(e.norm_sq), Labs2))
         self._sigma: dict = {}
         self._lambda: dict = {}

@@ -103,17 +103,16 @@ class TestFunction:
         return hi
 
 
-def admissible_check(h, A_req: float, B_req: float,
-                     n_samples: int = 120) -> tuple[bool, dict]:
+def admissible_check(h, A_req: float, B_req: float) -> tuple[bool, dict]:
     """Numeric admissibility scan: evenness plus decay on the strip |Im t| <= A_req.
 
     Returns (ok, diagnostics); diagnostics carry the worst evenness defect and
-    the bound constant sup |h(x+iy)| (1+|x|)^{B_req} over the sample grid.
+    the bound constant sup |h(x+iy)| (1+|x|)^{B_req} over a grid of 120 x and 9 y.
     """
-    ts = np.linspace(0.0, 12.0, n_samples)
+    ts = np.linspace(0.0, 12.0, 120)
     even_defect = float(np.max(np.abs(np.asarray(h(ts)) - np.asarray(h(-ts)))))
     T = h.support_cut(1e-10) if isinstance(h, TestFunction) else 30.0
-    xs = np.linspace(0.0, 2.5 * T, n_samples)
+    xs = np.linspace(0.0, 2.5 * T, 120)
     ys = np.linspace(0.0, A_req, 9)
     const = 0.0
     tail = 0.0
@@ -338,13 +337,12 @@ class SelbergPipeline:
 
     def h_roundtrip(self, t: float) -> complex:
         """Mellin transform at it of Phi-tilde built from the V grid."""
-        return complex(self.h_roundtrip_many(np.array([t]), abs(t))[0])
+        return complex(self.h_roundtrip_many(np.array([t]))[0])
 
-    def h_roundtrip_many(self, ts: np.ndarray, t_res: float | None = None) -> np.ndarray:
-        """Round-trip values for many t sharing one Q-tilde evaluation."""
+    def h_roundtrip_many(self, ts: np.ndarray) -> np.ndarray:
+        """Round-trip values for many t sharing one Q-tilde evaluation, resolved up to max |t|."""
         ts = np.asarray(ts, dtype=float)
-        if t_res is None:
-            t_res = float(np.max(np.abs(ts))) if len(ts) else 1.0
+        t_res = float(np.max(np.abs(ts))) if len(ts) else 1.0
         v_max = math.acosh(1.0 + 0.5 * self.Q.u_max)
         panels = max(64, int(v_max * (1.0 + t_res) / 2.0))
         vs, ws = gl_panels(0.0, v_max, panels, 16)
@@ -450,9 +448,9 @@ def zagier_transform(h: TestFunction, t: float) -> float:
     return float(math.pi * np.sum(ws * V(vs * vs + t * t - 4.0)))
 
 
-def zagier_2d_reference(h: TestFunction, t: float, nv: int = 900,
-                        x_order: int = 96) -> float:
-    """Slow raw 2d quadrature of the Zagier transform (testing oracle)."""
+def zagier_2d_reference(h: TestFunction, t: float) -> float:
+    """Slow raw 2d quadrature of the Zagier transform (testing oracle): 900
+    12-node panels in log y, one 96-node Gauss-Legendre rule in x per y."""
     pipe = get_pipeline(h)
     V = pipe.V
     U = V.u_max
@@ -460,10 +458,10 @@ def zagier_2d_reference(h: TestFunction, t: float, nv: int = 900,
     beta = math.sqrt(max(U + 4.0 * w0, 0.0))
     y_hi = 0.5 * (beta + math.sqrt(U))
     y_lo = max(1e-14, 0.5 * (beta - math.sqrt(U)))
-    vs, wv = gl_panels(math.log(y_lo), math.log(y_hi), nv, 12)
+    vs, wv = gl_panels(math.log(y_lo), math.log(y_hi), 900, 12)
     ys = np.exp(vs)
     x_hi = np.sqrt(np.maximum(-(ys * ys) + beta * ys - w0, 0.0))
-    x0, xw0 = np.polynomial.legendre.leggauss(x_order)
+    x0, xw0 = np.polynomial.legendre.leggauss(96)
     xs = 0.5 * x_hi[:, None] * (x0[None, :] + 1.0)
     xw = 0.5 * x_hi[:, None] * np.tile(xw0, (len(ys), 1))
     y2 = (ys * ys)[:, None]
@@ -505,14 +503,13 @@ def zagier_hat(h: TestFunction, a: float, route: str = "bessel") -> float:
     raise ValueError(f"unknown route {route!r}")
 
 
-def selfdual_half_integral(h: TestFunction | GridFunction,
-                           w_tol: float = 1e-9) -> tuple[float, float]:
+def selfdual_half_integral(h: TestFunction | GridFunction) -> tuple[float, float]:
     """(int_0^inf r-hat(w) dw, V(0)/2) for r(t) = V(t^2); they agree.
 
     The w-integral of r-hat(w) = 2 int_0^inf V(t^2) cos(2 pi w t) dt over
     [0, W] is done first (exactly), leaving the Dirichlet-kernel integral
     (1/pi) int_0^inf V(t^2) sin(2 pi W t) / t dt, extended in W until two
-    doublings agree.
+    doublings agree to 1e-9.
     """
     pipe = _pipeline_of(h)
     V = pipe.V
@@ -539,7 +536,7 @@ def selfdual_half_integral(h: TestFunction | GridFunction,
     prev = lhs_at(W)
     for _ in range(6):
         cur = lhs_at(2 * W)
-        if abs(cur - prev) < w_tol:
+        if abs(cur - prev) < 1e-9:
             prev = cur
             break
         W *= 2

@@ -210,6 +210,21 @@ def test_runtime_imports_numpy_only():
     assert proc.stdout.strip() == ""
 
 
+def test_no_private_names_across_modules():
+    # a ktf_kit module imports no underscore name of another, nested imports
+    # included; the one exception is the single Jint per h that zagier_hat shares
+    import ast
+    from pathlib import Path
+    import ktf_kit
+    found = set()
+    for path in Path(ktf_kit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ktf_kit")):
+                source = (node.module or "").rsplit(".", 1)[-1]
+                found |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
+    assert found == {("transforms", "ktf", "_jint_cache")}
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "ktf_kit.cli", "--help"],
                           capture_output=True, text=True)

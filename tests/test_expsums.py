@@ -204,17 +204,53 @@ PLAN_CACHES = (expsums._direct_plan, expsums._local_plan, expsums._weil_plan)
 ROUTES = ("direct", "factored", "salie")
 
 
-def test_factored_route_builds_no_pair_tables():
-    # _pairs is an O(c) Python loop, and the c-series reaches c = 1.5e6
+def _pairs_oracle(n, c):
+    """The pair table by a loop over x mod c."""
+    if c == 1:
+        return np.array([0]), np.array([0])
+    xs, xps = [], []
+    n_mod = n % c
+    for x in range(c):
+        g = math.gcd(x, c)
+        if n_mod % g != 0:
+            continue
+        cg = c // g
+        x0 = (x // g) % cg
+        base = (pow(x0, -1, cg) * ((n_mod // g) % cg)) % cg if cg > 1 else 0
+        for k in range(g):
+            xs.append(x)
+            xps.append(base + k * cg)
+    return np.array(xs, dtype=np.int64), np.array(xps, dtype=np.int64)
+
+
+@PROPERTY
+@given(st.integers(1, 300), st.integers(-12, 12).filter(lambda n: n != 0),
+       st.sampled_from((0, 1, 2, 7)))
+def test_pairs_match_the_loop(c, n, multiple):
+    # n + multiple c: the same residue, or a multiple of c itself when n is dropped
+    for m in (n + multiple * c, multiple * c or c):
+        got, want = expsums._pairs(m, c), _pairs_oracle(m, c)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (m, c)
+
+
+def test_factored_route_builds_only_prime_power_unit_tables(monkeypatch):
+    # the twisted local factors read _pairs(1, q), which is _units(q); a pair
+    # table of a composite c would be an O(c) table per c-series term
     from ktf_kit import ktf
-    expsums._pairs.cache_clear()
+    _clear_plans()
+    calls = []
+    pairs = expsums._pairs
+    monkeypatch.setattr(expsums, "_pairs", lambda n, c: calls.append((n, c)) or pairs(n, c))
     req = ktf.KtfRequest(1009, DirichletCharacter.principal(1009), 1, 1, 1, H_GAUSS)
     ktf.geo_kloosterman(req)
     for q in (KloostermanQuery(3, 5, 2, 60, enumerate_characters(12)[3]),
               KloostermanQuery(1, 7, -4, 2018, DirichletCharacter.principal(1009)),
               KloostermanQuery(0, 9, 1, 121, TRIV)):
         weil_certificate(q)
-    assert expsums._pairs.cache_info().currsize == 0
+    assert calls
+    for n, c in calls:
+        assert len(arith.factor(c).pairs) == 1 and n % c == 1, (n, c)
 
 
 def _clear_plans():
@@ -257,10 +293,10 @@ def test_plan_caches_stay_bounded():
 def test_unbounded_caches_are_allow_listed():
     # a new cache in expsums has to be bounded: memory must not grow with the
     # length of a c-series
-    allowed = {"_pairs", "_chi_values", "_local_component_cached"}
+    allowed = {"_chi_values", "_local_component_cached"}
     unbounded = {name for name, f in vars(expsums).items()
                  if callable(getattr(f, "cache_info", None)) and f.cache_info().maxsize is None}
-    assert "_pairs" in unbounded  # the lint sees the caches it lists
+    assert "_chi_values" in unbounded  # the lint sees the caches it lists
     assert unbounded <= allowed, sorted(unbounded - allowed)
 
 
@@ -438,3 +474,15 @@ def test_equivalence_scan_ratios_match_certificates():
     assert rep.max_ratio_bound2 == pytest.approx(max(abs(c.value) / c.bound2 for c in certs),
                                                  abs=1e-9)
     assert rep.max_ratio_bound1 < 1.0 and rep.weil_violations == 0
+
+
+def test_scan_and_certificates_share_one_weil_verdict(monkeypatch):
+    # every bound scaled so that |S| exceeds it by 5e-10 of it at the worst
+    # query (c = 17): an absolute 1e-9 slack fails it there, a relative one not
+    scale = equivalence_scan(24, 6).max_ratio_bound1 * (1 - 5e-10)
+    bounds = expsums._weil_bounds
+    monkeypatch.setattr(expsums, "_weil_bounds",
+                        lambda g, n, c, cchi: tuple(scale * b for b in bounds(g, n, c, cchi)))
+    failed = sum(not all(weil_certificate(q).satisfied) for q in scan_queries(24, 6))
+    assert failed > 0
+    assert equivalence_scan(24, 6).weil_violations == failed
