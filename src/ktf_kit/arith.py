@@ -229,14 +229,6 @@ def unit_log(x: int, q: int) -> tuple[int, ...]:
     return tuple(int(t) for t in _unit_log_table(q)[x])
 
 
-def unit_from_log(vec: tuple[int, ...], q: int) -> int:
-    st = unit_group(q)
-    x = 1 % q
-    for g, e in zip(st.generators, vec):
-        x = x * pow(g, e, q) % q if q > 1 else 0
-    return x if q > 1 else 0
-
-
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     """Solve x = v_i mod m_i for pairwise-coprime moduli; returns (x, prod m_i)."""
     x, m = 0, 1

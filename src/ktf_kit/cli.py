@@ -25,7 +25,15 @@ from .expsums import (
     weil_scan_rows,
 )
 from .ktf import KtfRequest, SpectralDatum, classical_crosscheck, cuspidal_from_data, cuspidal_inferred
-from .transforms import TestFunction, roundtrip_sup_error, v_zero, zagier_hat
+from .transforms import (
+    TestFunction,
+    h_tanh_integral,
+    q_from_h,
+    roundtrip_sup_error,
+    v_from_q,
+    v_zero,
+    zagier_hat,
+)
 
 USAGE_EXIT = 2
 TOLERANCE_EXIT = 3
@@ -244,7 +252,6 @@ def _dispatch(args) -> int:
         print(f"v0_integral {_f(vi)}")
         print(f"v0_pipeline {_f(vp)}")
         if args.dump_grid:
-            from .transforms import q_from_h, v_from_q
             Q = q_from_h(h)
             V = v_from_q(Q)
             _write_csv(args.dump_grid, ["u", "Q", "V"],
@@ -289,7 +296,6 @@ def _dispatch(args) -> int:
         req = _ktf_request(args)
         rep = cuspidal_inferred(req)
         doc = rep.to_json_dict()
-        from .ktf import h_tanh_integral
         doc["ratio_to_J_psi"] = rep.spec_cuspidal_inferred.real / (
             h_tanh_integral(req.h) * arith.psi(args.N))
         if args.spectral_data is not None:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import arith
 from .characters import DirichletCharacter
-from .ktf import KtfRequest, cuspidal_inferred, h_tanh_integral
-from .transforms import TestFunction
+from .ktf import KtfRequest, cuspidal_inferred
+from .transforms import TestFunction, h_tanh_integral
 
 
 def chebyshev_eval(ell: int, x) -> float | np.ndarray:

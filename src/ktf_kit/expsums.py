@@ -18,7 +18,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from . import arith
-from .characters import DirichletCharacter, local_component
+from .characters import DirichletCharacter, enumerate_characters, local_component
 
 
 # ----------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def gauss_sum(chi: DirichletCharacter, m: int, mode: str = "direct") -> complex:
         chi0 = chi.primitive()
         c = chi0.modulus
         ell = M // c
-        tau0 = gauss_sum(chi0, 1, "direct") if c > 1 else 1.0 + 0j
+        tau0 = gauss_sum(chi0, 1, "direct")
         total = 0j
         g = math.gcd(ell, abs(m)) if m != 0 else ell
         for a in arith.divisors(g):
@@ -389,7 +389,7 @@ def salie_eval(a: int, b: int, q: int, chi: DirichletCharacter) -> complex:
         q2 = p ** (ell - j)
         if arith.ord_p(chi.conductor, p) > ell - j:
             return 0j
-        chi2 = local_component(chi, p, q2) if q2 > 1 else DirichletCharacter.principal(1)
+        chi2 = local_component(chi, p, q2)
         return p**j * twisted_kloosterman(a // p**j, b // p**j, q2, chi2,
                                           mode="salie" if ell - j >= 2 else "direct")
     if ja > 0:  # b is the unit; swap using S_chi(a,b;c) = S_conj(chi)(b,a;c)
@@ -434,7 +434,6 @@ def p3_witness(p: int) -> tuple[KloostermanQuery, int]:
     1 + zp), b = -a.  The value p^2 exceeds the conductor-free classical
     bound tau(c) (a,b,c)^{1/2} c^{1/2} = 4 p^{3/2} once p >= 17.
     """
-    from .characters import enumerate_characters
     if p < 3 or not arith.is_prime(p):
         raise ValueError("p must be an odd prime")
     q = p**3
@@ -615,7 +614,6 @@ def _ab_sample(c: int, count: int) -> list[tuple[int, int]]:
 
 def _scan_grid(max_c: int, max_N: int, ab_pairs_per_c: int):
     """(c, (a, b) sample, N, characters mod N) for every c <= max_c and N | c, N <= max_N."""
-    from .characters import enumerate_characters
     for c in range(1, max_c + 1):
         ab = _ab_sample(c, ab_pairs_per_c)
         for N in arith.divisors(c):

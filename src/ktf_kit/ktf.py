@@ -8,7 +8,9 @@ For a request (N, omega', n, m1, m2, h) the three computable terms are
             (m1/m2)^{it} h(t) / (norm^2 |L(1+2it, chi1~^{-1} chi2~)|^2) dt
 
 and the cuspidal side is inferred as Spec1 = Geo1 + Geo2 - Spec2.  The
-classical-derivation identities (n = 1 formula summed over ell | (n, m1))
+constant J = (1/pi^2) int h(t) tanh(pi t) t dt of Geo1 is
+transforms.h_tanh_integral, next to the Abel integrals that give V(0) = (pi/4) J.
+The classical-derivation identities (n = 1 formula summed over ell | (n, m1))
 are implemented with shared caches so both routes agree to rounding.
 """
 
@@ -34,7 +36,7 @@ from .eisenstein import (
 )
 from .expsums import KloostermanQuery, kloosterman
 from .specfun import gl_integrate, gl_panels, j2it_values
-from .transforms import TestFunction, get_pipeline
+from .transforms import TestFunction, get_pipeline, h_tanh_integral
 
 
 # ----------------------------------------------------------------------------
@@ -72,11 +74,6 @@ class KtfReport:
     c_terms_used: int
     tail_bound: float
     t_quadrature_error: float
-
-    def verify_identity(self, tol: float = 1e-12) -> bool:
-        lhs = self.spec_cuspidal_inferred
-        rhs = self.geo_main + self.geo_kloosterman - self.spec_continuous
-        return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
 
     def to_json_dict(self) -> dict:
         def c(v):
@@ -131,14 +128,6 @@ def t_predicate(m1: int, m2: int, n: int) -> tuple[int, int | None]:
     if math.gcd(m1, m2) % b != 0:
         return 0, None
     return 1, b
-
-
-def h_tanh_integral(h: TestFunction) -> float:
-    """J = (1/pi^2) int_R h(t) tanh(pi t) t dt = (4/pi) V(0), see transforms.v_zero."""
-    T = get_pipeline(h).T
-    ts, ws = gl_panels(0.0, T, max(64, int(T * 6)), 16)
-    vals = np.real(np.asarray(h(ts))) * np.tanh(np.pi * ts) * ts
-    return float(2.0 * np.sum(ws * vals) / math.pi**2)
 
 
 def geo_main(req: KtfRequest) -> complex:

@@ -9,16 +9,19 @@ Starting from an admissible even test function h(t), the chain is
     h(t)   = int_0^inf Phi(y) y^{it} dy/y         (round trip, Mellin)
 
 Q' is taken from the differentiated defining integral, never from grid
-differences.  Grids are logarithmic with cubic-spline interpolation and a
-computed effective support; everything downstream (Kuznetsov terms, Zagier
-transform) consumes these grids.
+differences.  V and the round-trip Q are scalings of one Abel integral,
+_abel(F, u) = int_0^inf F(u + x^2) dx, applied to the Q' and V grids.  Grids
+are logarithmic with cubic-spline interpolation and a computed effective
+support; everything downstream (Kuznetsov terms, Zagier transform) consumes
+these grids.  The constant J = (1/pi^2) int h(t) tanh(pi t) t dt = (4/pi) V(0)
+of the trace formula's main term is h_tanh_integral, next to v_zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -141,10 +144,12 @@ class GridFunction:
 
     Evaluation beyond the last abscissa returns 0 (the grid is built out to
     where the decay envelope falls below the construction tolerance).
+    pipeline is the SelbergPipeline that built the grid, if any.
     """
 
     u: np.ndarray
     values: np.ndarray
+    pipeline: SelbergPipeline | None = field(default=None, compare=False, repr=False)
     _coefs: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -283,64 +288,35 @@ class SelbergPipeline:
         n = int(min(40000, max(3072, ln_range / step)))
         return np.concatenate([[0.0], np.geomspace(1e-7, u_max, n - 1)])
 
-    @property
+    @cached_property
     def Q(self) -> GridFunction:
-        if not hasattr(self, "_Q"):
-            u = self._u_grid()
-            self._Q = GridFunction(u, self.q_exact(u))
-        return self._Q
+        u = self._u_grid()
+        return GridFunction(u, self.q_exact(u), pipeline=self)
 
-    @property
+    @cached_property
     def Qp(self) -> GridFunction:
-        if not hasattr(self, "_Qp"):
-            u = self.Q.u
-            vals = self.q_prime_exact(np.maximum(u, 1e-12))
-            self._Qp = GridFunction(u, vals)
-        return self._Qp
+        u = self.Q.u
+        return GridFunction(u, self.q_prime_exact(np.maximum(u, 1e-12)), pipeline=self)
 
-    def _v_on(self, u) -> np.ndarray:
-        """V(u) = -(2/pi) int_0^inf Q'(u + w^2) dw via the Q' grid."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        w_max = math.sqrt(self.Q.u_max)
-        xs, ws = _half_line_nodes(w_max)
-        out = np.empty(len(u))
-        for i in range(0, len(u), 512):  # bounds the (u, w) block in memory
-            args = u[i:i + 512, None] + xs[None, :] ** 2
-            out[i:i + 512] = self.Qp(args.ravel()).reshape(args.shape) @ ws
-        return -(2.0 / math.pi) * out
-
-    @property
+    @cached_property
     def V(self) -> GridFunction:
-        if not hasattr(self, "_V"):
-            u = self.Q.u
-            self._V = GridFunction(u, self._v_on(u))
-        return self._V
+        """V(u) = -(2/pi) int_0^inf Q'(u + w^2) dw via the Q' grid."""
+        u = self.Q.u
+        return GridFunction(u, -(2.0 / math.pi) * _abel(self.Qp, u), pipeline=self)
 
-    @property
+    @cached_property
     def v0(self) -> float:
-        if not hasattr(self, "_v0"):
-            self._v0 = float(self._v_on(np.array([0.0]))[0])
-        return self._v0
+        return float(-(2.0 / math.pi) * _abel(self.Qp, 0.0)[0])
 
     # -- round trip -------------------------------------------------------------
 
     def q_from_v(self, u) -> np.ndarray:
         """Q(u) = 2 int_0^inf V(u + x^2) dx using the V grid."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        x_max = math.sqrt(self.V.u_max)
-        xs, ws = _half_line_nodes(x_max)
-        out = np.empty(len(u))
-        for i in range(0, len(u), 512):  # bounds the (u, x) block in memory
-            args = u[i:i + 512, None] + xs[None, :] ** 2
-            out[i:i + 512] = self.V(args.ravel()).reshape(args.shape) @ ws
-        return 2.0 * out
-
-    def h_roundtrip(self, t: float) -> complex:
-        """Mellin transform at it of Phi-tilde built from the V grid."""
-        return complex(self.h_roundtrip_many(np.array([t]))[0])
+        return 2.0 * _abel(self.V, u)
 
     def h_roundtrip_many(self, ts: np.ndarray) -> np.ndarray:
-        """Round-trip values for many t sharing one Q-tilde evaluation, resolved up to max |t|."""
+        """Mellin transforms at it of Phi-tilde built from the V grid, for many t
+        sharing one Q-tilde evaluation, resolved up to max |t|."""
         ts = np.asarray(ts, dtype=float)
         t_res = float(np.max(np.abs(ts))) if len(ts) else 1.0
         v_max = math.acosh(1.0 + 0.5 * self.Q.u_max)
@@ -348,6 +324,17 @@ class SelbergPipeline:
         vs, ws = gl_panels(0.0, v_max, panels, 16)
         q_vals = self.q_from_v(2.0 * np.cosh(vs) - 2.0)
         return 2.0 * (np.cos(np.multiply.outer(ts, vs)) @ (ws * q_vals))
+
+
+def _abel(F: GridFunction, u) -> np.ndarray:
+    """int_0^inf F(u + x^2) dx for every u, cut where F's grid ends."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    xs, ws = _half_line_nodes(math.sqrt(F.u_max))
+    out = np.empty(len(u))
+    for i in range(0, len(u), 512):  # bounds the (u, x) block in memory
+        args = u[i:i + 512, None] + xs[None, :] ** 2
+        out[i:i + 512] = F(args.ravel()).reshape(args.shape) @ ws
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -375,30 +362,25 @@ def _pipeline_of(obj) -> SelbergPipeline:
     """Accept a TestFunction or a GridFunction produced by this pipeline."""
     if isinstance(obj, TestFunction):
         return get_pipeline(obj)
-    pipe = getattr(obj, "pipeline", None)
-    if pipe is None:
+    if getattr(obj, "pipeline", None) is None:
         raise ValueError("grid function does not carry its originating pipeline")
-    return pipe
+    return obj.pipeline
 
 
 def q_from_h(h: TestFunction) -> GridFunction:
     ok, diag = admissible_check(h, 0.5, 1.5)
     if not ok:
         raise ValueError(f"test function not admissible: {diag}")
-    pipe = get_pipeline(h)
-    pipe.Q.pipeline = pipe
-    return pipe.Q
+    return get_pipeline(h).Q
 
 
 def v_from_q(q: TestFunction | GridFunction) -> GridFunction:
     """V grid from the Q grid (or directly from the test function)."""
-    pipe = _pipeline_of(q)
-    pipe.V.pipeline = pipe
-    return pipe.V
+    return _pipeline_of(q).V
 
 
 def roundtrip_h(h: TestFunction | GridFunction, t: float) -> complex:
-    return _pipeline_of(h).h_roundtrip(t)
+    return complex(_pipeline_of(h).h_roundtrip_many(np.array([t]))[0])
 
 
 def roundtrip_sup_error(h: TestFunction, t_hi: float = 10.0, n: int = 41) -> float:
@@ -409,13 +391,21 @@ def roundtrip_sup_error(h: TestFunction, t_hi: float = 10.0, n: int = 41) -> flo
     return float(np.max(np.abs(vals - np.real(np.asarray(h(ts))))))
 
 
+def h_tanh_integral(h: TestFunction) -> float:
+    """J = (1/pi^2) int_R h(t) tanh(pi t) t dt = (4/pi) V(0) (Iwaniec, Spectral
+    Methods of Automorphic Forms, 1.8), the constant of the trace formula's main term."""
+    T = get_pipeline(h).T
+    ts, ws = gl_panels(0.0, T, max(64, int(T * 6)), 16)
+    vals = np.real(np.asarray(h(ts))) * np.tanh(np.pi * ts) * ts
+    return float(2.0 * np.sum(ws * vals) / math.pi**2)
+
+
 def v_zero(h: TestFunction, route: str = "pipeline") -> float:
     """V(0) by the stated route; 'integral' is (1/4pi) int h(t) tanh(pi t) t dt,
-    i.e. (pi/4) times ktf.h_tanh_integral."""
+    i.e. (pi/4) times h_tanh_integral."""
     if route == "pipeline":
         return get_pipeline(h).v0
     if route == "integral":
-        from .ktf import h_tanh_integral  # ktf imports this module
         return math.pi / 4.0 * h_tanh_integral(h)
     raise ValueError(f"unknown route {route!r}")
 

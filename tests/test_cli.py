@@ -210,19 +210,39 @@ def test_runtime_imports_numpy_only():
     assert proc.stdout.strip() == ""
 
 
-def test_no_private_names_across_modules():
-    # a ktf_kit module imports no underscore name of another, nested imports
-    # included; the one exception is the single Jint per h that zagier_hat shares
+def _package_imports():
+    """(module, enclosing function or None, source module, name) for every import
+    from a ktf_kit module; an import in a function is listed under both scopes."""
     import ast
     from pathlib import Path
     import ktf_kit
     found = set()
     for path in Path(ktf_kit.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ktf_kit")):
-                source = (node.module or "").rsplit(".", 1)[-1]
-                found |= {(path.stem, source, a.name) for a in node.names if a.name.startswith("_")}
+        tree = ast.parse(path.read_text())
+        scopes = [(None, tree)] + [(f.name, f) for f in ast.walk(tree)
+                                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for scope, root in scopes:
+            for node in ast.walk(root):
+                if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ktf_kit")):
+                    source = (node.module or "").rsplit(".", 1)[-1]
+                    found |= {(path.stem, scope, source, a.name) for a in node.names}
+    return found
+
+
+def test_no_private_names_across_modules():
+    # a ktf_kit module imports no underscore name of another, nested imports
+    # included; the one exception is the single Jint per h that zagier_hat shares
+    found = {(m, source, name) for m, scope, source, name in _package_imports()
+             if scope is None and name.startswith("_")}
     assert found == {("transforms", "ktf", "_jint_cache")}
+
+
+def test_function_local_imports_are_allow_listed():
+    # sibling imports sit at module level unless an import cycle forces them into
+    # a function: zagier_hat's Jint comes from ktf, which imports transforms, and
+    # must call j2it_values through ktf, where bench/tracer.py measures it
+    found = {entry for entry in _package_imports() if entry[1] is not None}
+    assert found == {("transforms", "zagier_hat", "ktf", "_jint_cache")}
 
 
 def test_console_script_help():

@@ -112,6 +112,23 @@ def test_roundtrip_memory_ceiling():
     assert int(peak_kib) < 200 * 1024
 
 
+def test_grids_carry_their_pipeline():
+    pipe = get_pipeline(GAUSS)
+    Q = q_from_h(GAUSS)
+    assert Q.pipeline is pipe and pipe.Qp.pipeline is pipe
+    assert v_from_q(Q) is pipe.V
+    assert roundtrip_h(Q, 2.0) == roundtrip_h(GAUSS, 2.0)
+    assert "pipeline" not in repr(GridFunction(Q.u[:3], Q.values[:3], pipeline=pipe))
+
+
+def test_hand_built_grid_is_refused():
+    Q = q_from_h(GAUSS)
+    bare = GridFunction(Q.u, Q.values)
+    for use in (v_from_q, lambda g: roundtrip_h(g, 1.0), selfdual_half_integral):
+        with pytest.raises(ValueError, match="does not carry its originating pipeline"):
+            use(bare)
+
+
 def test_roundtrip_even_and_values():
     assert abs(roundtrip_h(GAUSS, 0.0) - 1.0) < 1e-6
     assert abs(roundtrip_h(GAUSS, 3.0) - math.exp(-9.0)) < 1e-6
