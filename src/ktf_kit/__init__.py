@@ -10,7 +10,6 @@ from .characters import (
 )
 from .eisenstein import (
     EisensteinBasisElement,
-    dirichlet_L_line,
     eisenstein_eval,
     enumerate_basis,
     lambda_n_eis,

@@ -259,12 +259,37 @@ class CharacterPair:
         return self.chi1.modulus
 
 
-def pairs_with_product(omega: DirichletCharacter) -> list[CharacterPair]:
-    """All ordered pairs (chi1, chi2) with chi1*chi2 = omega, c1*c2 | N."""
-    N = omega.modulus
+def _local_pairs(p: int, k: int,
+                 w: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Exponent pairs (v1, v2) mod q = p^k with v1 + v2 = w and c1 c2 | q, sorted by v1.
+
+    c1 c2 | p^k forces one conductor to divide p^(k//2), so v1 is a character
+    mod p^(k//2) induced to q, or w minus one.
+    """
+    q = p**k
+    orders = arith.unit_group(q).orders
+
+    def rest(v):
+        return tuple((a - b) % o for a, b, o in zip(w, v, orders))
+
+    lifts = {induce(chi, q)._vec(p) for chi in enumerate_characters(p ** (k // 2))}
     out = []
-    for chi1 in enumerate_characters(N):
-        chi2 = omega.mul(chi1.conj())
-        if N % (chi1.conductor * chi2.conductor) == 0:
-            out.append(CharacterPair(chi1, chi2))
+    for v1 in sorted(lifts | {rest(v) for v in lifts}):
+        v2 = rest(v1)
+        if q % (_conductor_local(q, v1) * _conductor_local(q, v2)) == 0:
+            out.append((v1, v2))
     return out
+
+
+def pairs_with_product(omega: DirichletCharacter) -> list[CharacterPair]:
+    """All ordered pairs (chi1, chi2) with chi1*chi2 = omega, c1*c2 | N.
+
+    Both conditions hold prime by prime, so the pairs are the product of the
+    local pairs at each p^k || N; sorted by chi1 in lexicographic exponent order.
+    """
+    N = omega.modulus
+    primes = [p for p, _ in omega.exponents]
+    local = [_local_pairs(p, k, omega._vec(p)) for p, k in arith.factor(N)]
+    return [CharacterPair(DirichletCharacter(N, tuple(zip(primes, (v1 for v1, _ in combo)))),
+                          DirichletCharacter(N, tuple(zip(primes, (v2 for _, v2 in combo)))))
+            for combo in itertools.product(*local)]

@@ -55,7 +55,7 @@ class _UsageError(Exception):
 
 
 def _char(N: int, index: int) -> DirichletCharacter:
-    chars = enumerate_characters(N)
+    chars = _from_flags(enumerate_characters, N)
     if not 0 <= index < len(chars):
         raise _UsageError(f"character index {index} out of range for modulus {N}")
     return chars[index]
@@ -319,9 +319,9 @@ def _dispatch(args) -> int:
 
     if cmd == "equidist":
         h = _from_flags(TestFunction.parse, args.h)
-        N_list = [int(v) for v in args.N_list.split(",") if v]
-        l_list = tuple(int(v) for v in args.l_list.split(",") if v)
-        rows = equidist_scan(args.p, args.m, h, N_list, l_list)
+        rows = _from_flags(lambda: equidist_scan(
+            args.p, args.m, h, [int(v) for v in args.N_list.split(",") if v],
+            tuple(int(v) for v in args.l_list.split(",") if v)))
         _write_csv(args.out, ["N", "p", "m", "l", "ratio_re", "ratio_im", "prediction"],
                    [[r[0], r[1], r[2], r[3], _f(r[4]), _f(r[5]), _f(r[6])] for r in rows])
         return 0

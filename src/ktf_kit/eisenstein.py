@@ -105,23 +105,6 @@ def dirichlet_L(chi: DirichletCharacter, s: complex | np.ndarray) -> complex | n
     return complex(out) if sa.ndim == 0 else out
 
 
-def dirichlet_L_line(chi: DirichletCharacter, t: float | np.ndarray, variant: str = "full",
-                     N: int | None = None) -> complex | np.ndarray:
-    """L(1 + 2it, chi) on a scalar or an array of t; 'partial' strips the Euler
-    factors at all p | N, that is, it takes chi induced to lcm(modulus, N).
-
-    The principal character at t = 0 is a pole and raises; for t != 0 the
-    value follows from the zeta relation automatically.
-    """
-    if variant == "partial":
-        if N is None:
-            raise ValueError("partial variant needs the modulus N")
-        chi = induce(chi, math.lcm(chi.modulus, N))
-    elif variant != "full":
-        raise ValueError(f"unknown variant {variant!r}")
-    return dirichlet_L(chi, 1 + 2j * np.asarray(t))
-
-
 # ----------------------------------------------------------------------------
 # basis elements
 
@@ -145,48 +128,34 @@ class EisensteinBasisElement:
 
     @property
     def M(self) -> int:
-        out = 1
-        for p, i in self.tuple_ip:
-            out *= p**i
-        return out
+        return math.prod(p**i for p, i in self.tuple_ip)
 
     @property
     def N1(self) -> int:
-        N = self.level
-        out = 1
-        for p, i in self.tuple_ip:
-            k = arith.ord_p(N, p)
-            if i < k:
-                out *= p**k
-        return out
+        return math.prod(p**k for (p, k), (_, i) in zip(arith.factor(self.level), self.tuple_ip)
+                         if i < k)
 
     @property
     def N2(self) -> int:
-        N = self.level
-        out = 1
-        for p, i in self.tuple_ip:
-            if i > 0:
-                out *= p ** arith.ord_p(N, p)
-        return out
+        return math.prod(p**k for (p, k), (_, i) in zip(arith.factor(self.level), self.tuple_ip)
+                         if i > 0)
 
     @cached_property  # kept in the instance __dict__, outside the frozen fields
     def chi1p(self) -> DirichletCharacter:
-        return induce(self.pair.chi1.primitive(), self.N1)
+        return induce(self.pair.chi1, self.N1)
 
     @cached_property
     def chi2p(self) -> DirichletCharacter:
-        return induce(self.pair.chi2.primitive(), self.N2)
+        return induce(self.pair.chi2, self.N2)
 
     @cached_property
     def chi2_on_M(self) -> DirichletCharacter:
-        return induce(self.pair.chi2.primitive(), self.M)
+        return induce(self.pair.chi2, self.M)
 
     @cached_property
     def denominator_character(self) -> DirichletCharacter:
         """conj(chi-tilde-1) * chi-tilde-2 as a character mod N."""
-        N = self.level
-        return induce(self.pair.chi1.primitive(), N).conj().mul(
-            induce(self.pair.chi2.primitive(), N))
+        return self.pair.chi1.conj().mul(self.pair.chi2)
 
     @cached_property
     def constant(self) -> complex:
@@ -225,15 +194,10 @@ def enumerate_basis(N: int, omega: DirichletCharacter) -> list[EisensteinBasisEl
     if omega.modulus != N:
         raise ValueError("omega must be a character mod N")
     out = []
-    primes = [p for p, _ in arith.factor(N)]
     for pair in pairs_with_product(omega):
         c1, c2 = pair.chi1.conductor, pair.chi2.conductor
-        ranges = []
-        for p in primes:
-            k = arith.ord_p(N, p)
-            lo = arith.ord_p(c2, p) if c2 % p == 0 else 0
-            hi = k - (arith.ord_p(c1, p) if c1 % p == 0 else 0)
-            ranges.append([(p, i) for i in range(lo, hi + 1)])
+        ranges = [[(p, i) for i in range(arith.ord_p(c2, p), k - arith.ord_p(c1, p) + 1)]
+                  for p, k in arith.factor(N)]
         out += [EisensteinBasisElement(pair, ip) for ip in itertools.product(*ranges)]
     return out
 

@@ -138,7 +138,7 @@ def admissible_check(h, A_req: float, B_req: float) -> tuple[bool, dict]:
 # grid functions
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: the fields are arrays
 class GridFunction:
     """Values on a log-spaced grid with natural-cubic-spline interpolation.
 
@@ -149,7 +149,7 @@ class GridFunction:
 
     u: np.ndarray
     values: np.ndarray
-    pipeline: SelbergPipeline | None = field(default=None, compare=False, repr=False)
+    pipeline: SelbergPipeline | None = field(default=None, repr=False)
     _coefs: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):

@@ -247,3 +247,71 @@ def test_primitive_gauss_sum_has_abs_square_q(chi, m):
     q = prim.modulus
     assume(math.gcd(m, q) == 1)
     assert abs(abs(gauss_sum(prim, m)) ** 2 - q) <= 1e-11 * q
+
+
+# ------------------------------------------------------------ pairs
+# The oracle is the global filter over all phi(N) characters mod N.
+
+
+def global_pairs(omega):
+    """Oracle: filter all phi(N) characters chi1 by the global conditions."""
+    N = omega.modulus
+    out = []
+    for chi1 in enumerate_characters(N):
+        chi2 = omega.mul(chi1.conj())
+        if N % (chi1.conductor * chi2.conductor) == 0:
+            out.append(CharacterPair(chi1, chi2))
+    return out
+
+
+def test_local_pairs_match_global_filter_for_even_omega():
+    # pairs and their order: the continuous term sums the basis in this order
+    for N in range(1, 101):
+        for om in enumerate_characters(N):
+            if om(-1) == 1:
+                assert pairs_with_product(om) == global_pairs(om), om.label()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 400).flatmap(characters))
+def test_local_pairs_match_global_filter(omega):
+    assert pairs_with_product(omega) == global_pairs(omega)
+
+
+def record_moduli(monkeypatch):
+    from ktf_kit import characters as module
+    seen = []
+
+    def recording(M):
+        seen.append(M)
+        return enumerate_characters(M)
+
+    monkeypatch.setattr(module, "enumerate_characters", recording)
+    return seen
+
+
+def half_powers(N):
+    return {p ** (k // 2) for p, k in arith.factor(N)}
+
+
+@pytest.mark.parametrize("N", [30030, 2**5 * 3**3 * 5])
+def test_pairs_enumerate_only_half_powers(N, monkeypatch):
+    # the principal omega, and the last one: non-trivial at every p^k with p^k > 2
+    chars = enumerate_characters(N)
+    for om in (chars[0], chars[-1]):
+        expected = global_pairs(om)
+        seen = record_moduli(monkeypatch)
+        assert pairs_with_product(om) == expected
+        monkeypatch.undo()
+        assert seen and set(seen) <= half_powers(N)
+
+
+def test_pairs_at_a_prime_level_near_one_million(monkeypatch):
+    N = 1000003
+    principal = DirichletCharacter.principal(N)
+    quadratic = DirichletCharacter(N, ((N, ((N - 1) // 2,)),))
+    seen = record_moduli(monkeypatch)
+    assert pairs_with_product(principal) == [CharacterPair(principal, principal)]
+    assert pairs_with_product(quadratic) == [CharacterPair(principal, quadratic),
+                                             CharacterPair(quadratic, principal)]
+    assert seen == [1, 1]

@@ -71,6 +71,17 @@ def test_index_out_of_range_is_usage_error(capsys):
     ("zagier --h gaussian:x --a 1", "could not convert"),
     ("zagier --h gaussian:1 --a 200", "geometric route needs"),
     ("kloosterman --a 1 --b 1 --n 1 --c 10 --modulus 3", "need chi modulus | c"),
+    ("gauss --modulus 0 --m 1", "modulus must be positive"),
+    ("kloosterman --a 1 --b 1 --n 1 --c 10 --modulus 0", "modulus must be positive"),
+    ("ktf --N 0 --h gaussian:1", "modulus must be positive"),
+    ("ktf --N -7 --h gaussian:1", "modulus must be positive"),
+    ("crosscheck --N 0 --n 1 --m1 1 --m2 1 --h gaussian:1", "modulus must be positive"),
+    ("eisenstein --N -3 --s-re 0.75", "modulus must be positive"),
+    ("equidist --p 2 --m 1 --h gaussian:1 --N-list 7,abc", "invalid literal for int()"),
+    ("equidist --p 2 --m 1 --h gaussian:1 --N-list 0", "factor() requires n >= 1"),
+    ("equidist --p 4 --m 1 --h gaussian:1 --N-list 7", "p must be a prime not dividing N"),
+    ("equidist --p 2 --m 0 --h gaussian:1 --N-list 7", "need m1, m2 >= 1"),
+    ("equidist --p 2 --m 1 --h gaussian:1 --N-list 7 --l-list -1", "need n >= 1 coprime to N"),
 ])
 def test_flag_outside_domain_is_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv.split(), capsys)

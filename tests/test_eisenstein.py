@@ -11,12 +11,12 @@ from ktf_kit.characters import (
     CharacterPair,
     DirichletCharacter,
     enumerate_characters,
+    induce,
     local_component,
     pairs_with_product,
 )
 from ktf_kit.eisenstein import (
     dirichlet_L,
-    dirichlet_L_line,
     eisenstein_eval,
     enumerate_basis,
     hurwitz_zeta,
@@ -91,7 +91,6 @@ def test_dirichlet_L_array_matches_scalar(modulus, index, ts):
     ss = 1 + 2j * np.array(ts)
     vals = dirichlet_L(chi, ss)
     assert vals.shape == ss.shape
-    assert np.array_equal(dirichlet_L_line(chi, np.array(ts)), vals)
     for s, v in zip(ss, vals):
         scalar = dirichlet_L(chi, s)
         assert isinstance(scalar, complex)
@@ -141,7 +140,7 @@ def test_sigma_lambda_array_match_scalar(e, m, n, ss):
 def test_L_nonreal_mod5_finite():
     chi = [c for c in enumerate_characters(5)
            if not c.is_principal() and not c.mul(c).is_principal()][0]
-    v = dirichlet_L_line(chi, 0.0)
+    v = dirichlet_L(chi, 1.0)
     assert abs(v) > 0.1
     # Hurwitz-zeta oracle at s -> 1; character values at full precision so the
     # 1/(s-1) poles cancel exactly
@@ -161,7 +160,7 @@ def test_L_principal_zeta_relation():
     target = hurwitz_zeta(s, 1.0) * (1 - 2**-s) * (1 - 3**-s)
     assert abs(dirichlet_L(chi0, s) - target) < 1e-12
     with pytest.raises(ValueError):
-        dirichlet_L_line(chi0, 0.0)
+        dirichlet_L(chi0, 1.0)
 
 
 def test_L_conjugation_symmetry():
@@ -175,9 +174,9 @@ def test_L_conjugation_symmetry():
 
 def test_L_partial_variant():
     chi = enumerate_characters(5)[1]
-    full = dirichlet_L_line(chi, 0.5)
-    part = dirichlet_L_line(chi, 0.5, "partial", N=15)
     s = 1 + 1j
+    full = dirichlet_L(chi, s)
+    part = dirichlet_L(induce(chi, 15), s)
     assert abs(part - full * (1 - chi(3) * 3**-s)) < 1e-12
 
 
@@ -193,6 +192,17 @@ def test_basis_counts():
         expect = sum(arith.tau(N // (p.chi1.conductor * p.chi2.conductor))
                      for p in pairs_with_product(om))
         assert len(enumerate_basis(N, om)) == expect
+
+
+def test_derived_characters_match_the_primitive_route():
+    for N in (12, 36, 45):
+        for om in enumerate_characters(N):
+            for e in enumerate_basis(N, om):
+                chi1, chi2 = e.pair.chi1.primitive(), e.pair.chi2.primitive()
+                assert e.chi1p == induce(chi1, e.N1)
+                assert e.chi2p == induce(chi2, e.N2)
+                assert e.chi2_on_M == induce(chi2, e.M)
+                assert e.denominator_character == induce(chi1, N).conj().mul(induce(chi2, N))
 
 
 def test_norms():

@@ -55,6 +55,13 @@ def test_grid_function_validation():
         GridFunction(np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
 
 
+def test_grid_function_equality_is_identity():
+    u, v = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    grid = GridFunction(u, v)
+    assert grid == grid
+    assert (grid == GridFunction(u.copy(), v.copy())) is False
+
+
 def test_phi_value_and_symmetry():
     pipe = get_pipeline(GAUSS)
     # Phi(1) = (1/2pi) int e^{-r^2} dr = 1/(2 sqrt(pi))
