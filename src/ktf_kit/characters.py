@@ -23,14 +23,18 @@ import numpy as np
 from . import arith
 
 
-def _local_angle(q: int, vec: tuple[int, ...], x, lam: int):
-    """k with chi_q(x) = e(k / lam), exactly; x an int or an int array of units mod q.
+def _angle_weights(q: int, vec: tuple[int, ...], lam: int) -> tuple[int, ...]:
+    """w with chi_q(x) = e((log(x) . w) / lam): w_i = vec_i lam / order_i.
 
     chi_q is the character of (Z/q)^*, q = p^j, with exponent vector vec, and
-    lam is a multiple of lambda(q): k = sum_i vec_i log_i(x) lam / order_i mod lam.
+    lam is a multiple of lambda(q); log(x) is x's row of ``arith._unit_log_table(q)``.
     """
-    w = np.array([e * (lam // o) for e, o in zip(vec, arith.unit_group(q).orders)],
-                 dtype=np.int64)
+    return tuple(e * (lam // o) for e, o in zip(vec, arith.unit_group(q).orders))
+
+
+def _local_angle(q: int, vec: tuple[int, ...], x, lam: int):
+    """k with chi_q(x) = e(k / lam), exactly; x an int or an int array of units mod q."""
+    w = np.array(_angle_weights(q, vec, lam), dtype=np.int64)
     return arith._unit_log_table(q)[np.asarray(x) % q] @ w % lam
 
 
@@ -66,12 +70,31 @@ class DirichletCharacter:
 
     # -- exact evaluation ------------------------------------------------------
 
-    def _angles(self, x):
-        """k with chi(x) = e(k / lambda(N)) for an int or int array x of units mod N."""
+    @cached_property
+    def _plan(self) -> tuple[int, tuple]:
+        """(lambda(N), one (q, log table, weights, weights as int64) per p^k || N)."""
         lam = arith.carmichael(self.modulus)
-        total = 0
+        local = []
         for p, vec in self.exponents:
-            total = total + _local_angle(self._ppart(p), vec, x, lam)
+            q = self._ppart(p)
+            w = _angle_weights(q, vec, lam)
+            local.append((q, arith._unit_log_table(q), w, np.array(w, dtype=np.int64)))
+        return lam, tuple(local)
+
+    def _angles(self, x):
+        """k with chi(x) = e(k / lambda(N)) for an int or int array x of units mod N.
+
+        An int (a numpy integer too) takes a pure-integer dot product with its
+        log row; an array takes one int64 matmul per prime power.
+        """
+        lam, local = self._plan
+        if isinstance(x, (int, np.integer)):
+            x = int(x)
+            return sum(table.item(x % q, i) * wi for q, table, w, _ in local
+                       for i, wi in enumerate(w)) % lam
+        total = 0
+        for q, table, _, w in local:
+            total = total + table[np.asarray(x) % q] @ w % lam
         return total % lam
 
     def angle(self, n: int) -> int | None:
@@ -87,14 +110,14 @@ class DirichletCharacter:
         k = self.angle(n)
         if k is None:
             return 0j
-        return cmath.exp(2j * cmath.pi * (k / arith.carmichael(self.modulus)))
+        return cmath.exp(2j * cmath.pi * (k / self._plan[0]))
 
     def values(self) -> np.ndarray:
         """chi(x) for x = 0..N-1 as one complex array, 0 off the units."""
         N = self.modulus
         units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)
         out = np.zeros(N, dtype=complex)
-        out[units] = np.exp(2j * np.pi * (self._angles(units) / arith.carmichael(N)))
+        out[units] = np.exp(2j * np.pi * (self._angles(units) / self._plan[0]))
         return out
 
     # -- algebra ----------------------------------------------------------------

@@ -15,7 +15,10 @@ import json
 import sys
 
 from . import arith
-from .characters import DirichletCharacter, enumerate_characters
+from .characters import (
+    DirichletCharacter,
+    enumerate_characters,  # noqa: F401  not called here; bench/tracer.py wraps it
+)
 from .eisenstein import enumerate_basis, eisenstein_eval, residue_half
 from .equidist import equidist_scan
 from .expsums import (
@@ -55,10 +58,23 @@ class _UsageError(Exception):
 
 
 def _char(N: int, index: int) -> DirichletCharacter:
-    chars = _from_flags(enumerate_characters, N)
-    if not 0 <= index < len(chars):
+    """enumerate_characters(N)[index], without building the other characters.
+
+    The index is read in mixed radix over the generator orders of every
+    p^k || N in turn, the last generator fastest, as that order runs.
+    """
+    if N < 1:
+        raise _UsageError("modulus must be positive")
+    if not 0 <= index < arith.phi(N):
         raise _UsageError(f"character index {index} out of range for modulus {N}")
-    return chars[index]
+    vecs = []
+    for p, k in reversed(arith.factor(N).pairs):
+        vec = []
+        for o in reversed(arith.unit_group(p**k).orders):
+            index, e = divmod(index, o)
+            vec.append(e)
+        vecs.append((p, tuple(reversed(vec))))
+    return DirichletCharacter(N, tuple(reversed(vecs)))
 
 
 def _from_flags(build, *args):

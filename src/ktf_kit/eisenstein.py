@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -79,26 +79,45 @@ def hurwitz_zeta(s: complex | np.ndarray, q: float,
     return complex(out[0]) if sa.ndim == 0 else out.reshape(sa.shape)
 
 
-def dirichlet_L(chi: DirichletCharacter, s: complex | np.ndarray) -> complex | np.ndarray:
-    """L(s, chi) = sum chi(n) n^{-s}, elementwise on a scalar or an array of s.
+_L_VALUES = 128  # cached primitive L-arrays, one per (chi0, s-grid)
 
-    c^{-s} sum_{a mod c} chi0(a) zeta(s, a/c) for the primitive chi0 mod the
-    conductor c, times (1 - chi0(p) p^{-s}) at p | M, p not dividing c.  A
-    non-principal chi0 sums the deflated Hurwitz zeta: sum chi0(a) = 0 cancels
-    the 1/(s-1) terms exactly, which keeps s near 1 accurate.
+
+@lru_cache(maxsize=_L_VALUES)
+def _primitive_L(chi0: DirichletCharacter, shape: tuple[int, ...], s_bytes: bytes) -> np.ndarray:
+    """c^{-s} sum_{a mod c} chi0(a) zeta(s, a/c) for a primitive chi0 mod c; read-only.
+
+    s is the complex array with the given shape and bytes, so the cache holds
+    one array per (chi0, s-grid): the denominators of the basis elements of a
+    level share a few primitive characters on one t-grid.  A non-principal
+    chi0 sums the deflated Hurwitz zeta: sum chi0(a) = 0 cancels the 1/(s-1)
+    terms exactly, which keeps s near 1 accurate.
     """
-    sa = np.asarray(s, dtype=complex)
-    principal = chi.is_principal()
-    if principal and np.any(np.abs(sa - 1) < 1e-12):
-        raise ValueError("L(s, principal) has a pole at s = 1")
-    chi0 = chi.primitive()
+    sa = np.frombuffer(s_bytes, dtype=complex).reshape(shape)
     c = chi0.modulus
+    principal = chi0.is_principal()
     total = np.zeros_like(sa)
     for a in range(1, c + 1):
         va = chi0(a)
         if va != 0:
             total = total + va * hurwitz_zeta(sa, a / c, deflate=not principal)
-    out = np.exp(-sa * math.log(c)) * total
+    out = np.asarray(np.exp(-sa * math.log(c)) * total)
+    out.flags.writeable = False
+    return out
+
+
+def dirichlet_L(chi: DirichletCharacter, s: complex | np.ndarray) -> complex | np.ndarray:
+    """L(s, chi) = sum chi(n) n^{-s}, elementwise on a scalar or an array of s.
+
+    The primitive L-value of chi0 mod the conductor c (``_primitive_L``), times
+    (1 - chi0(p) p^{-s}) at p | modulus, p not dividing c.  An array result may
+    be the cached, read-only array itself.
+    """
+    sa = np.asarray(s, dtype=complex)
+    if chi.is_principal() and np.any(np.abs(sa - 1) < 1e-12):
+        raise ValueError("L(s, principal) has a pole at s = 1")
+    chi0 = chi.primitive()
+    c = chi0.modulus
+    out = _primitive_L(chi0, sa.shape, sa.tobytes())
     for p, _ in arith.factor(chi.modulus):
         if c % p != 0:
             out = out * (1.0 - chi0(p) * np.exp(-sa * math.log(p)))

@@ -85,6 +85,11 @@ class MomentReport:
     ratio: complex
 
 
+def _check_degree(ell: int) -> None:
+    if ell < 0:
+        raise ValueError(f"degree ell must be nonnegative, got ell = {ell}")
+
+
 def moment_report(N: int, omega: DirichletCharacter, p: int, ell: int, m: int,
                   h: TestFunction, abs_tol: float = 1e-6) -> MomentReport:
     """Weighted Chebyshev moment sum_u X_ell(nu_p) w_u from the trace formula.
@@ -93,6 +98,7 @@ def moment_report(N: int, omega: DirichletCharacter, p: int, ell: int, m: int,
     side at n = p^ell, m1 = m2 = m; the prediction is J psi(N) exactly when
     ell = 2 ell' with ell' <= ord_p(m).
     """
+    _check_degree(ell)
     if not arith.is_prime(p) or N % p == 0:
         raise ValueError("p must be a prime not dividing N")
     req = KtfRequest(N, omega, p**ell, m, m, h, abs_tol=abs_tol)
@@ -112,6 +118,8 @@ def equidist_scan(p: int, m: int, h: TestFunction, N_list: list[int],
                   abs_tol: float = 1e-6) -> list[tuple]:
     """Rows (N, p, m, ell, ratio_re, ratio_im, prediction) with
     ratio = moment(ell) / moment(0), to be compared with int X_ell dmu."""
+    for ell in ell_list:
+        _check_degree(ell)
     rows = []
     for N in sorted(N_list):
         omega = DirichletCharacter.principal(N)

@@ -229,6 +229,42 @@ def test_induce_and_local_components(chi, data):
     assert total % 1 == Fraction(chi.angle(n), arith.carmichael(N))
 
 
+def summed_local_angles(chi, x):
+    """The angle of chi at x (an int or an int array) as the sum mod lambda(N) of
+    one int64 log-row product per p^k || N, recomputing every weight."""
+    lam = arith.carmichael(chi.modulus)
+    total = 0
+    for p, vec in chi.exponents:
+        q = p ** arith.ord_p(chi.modulus, p)
+        w = np.array([e * (lam // o) for e, o in zip(vec, arith.unit_group(q).orders)],
+                     dtype=np.int64)
+        total = total + arith._unit_log_table(q)[np.asarray(x) % q] @ w % lam
+    return total % lam
+
+
+@PROPERTY
+@given(st.integers(1, 400).flatmap(characters), st.integers(-10**6, 10**6))
+def test_angle_plan_matches_the_local_angle_sum(chi, n):
+    lam = arith.carmichael(chi.modulus)
+    for x in (n, np.int64(n)):
+        if math.gcd(n, chi.modulus) != 1:
+            assert chi.angle(x) is None and chi(x) == 0j
+            continue
+        k = int(summed_local_angles(chi, n))
+        assert type(chi.angle(x)) is int and chi.angle(x) == k
+        assert repr(chi(x)) == repr(cmath.exp(2j * cmath.pi * (k / lam)))
+
+
+@pytest.mark.parametrize("N", range(1, 61))
+def test_values_match_the_local_angle_sum(N):
+    units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)
+    for chi in enumerate_characters(N):
+        expected = np.zeros(N, dtype=complex)
+        expected[units] = np.exp(2j * np.pi * (summed_local_angles(chi, units)
+                                               / arith.carmichael(N)))
+        assert chi.values().tobytes() == expected.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(characters())
 def test_conductor_is_least_modulus_of_triviality(chi):

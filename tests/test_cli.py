@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ktf_kit.cli import main, load_spectral_data
+from ktf_kit.characters import enumerate_characters
+from ktf_kit.cli import _UsageError, _char, main, load_spectral_data
 
 HEADER = "t_re,t_im,a_m1_re,a_m1_im,a_m2_re,a_m2_im,norm_sq,lambda_re,lambda_im"
 
@@ -63,6 +64,15 @@ def test_index_out_of_range_is_usage_error(capsys):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
+def test_char_index_is_the_enumeration_index():
+    for N in range(1, 61):
+        chars = enumerate_characters(N)
+        assert [_char(N, i) for i in range(len(chars))] == chars
+        for index in (-1, len(chars)):
+            with pytest.raises(_UsageError, match=f"character index {index} out of range"):
+                _char(N, index)
+
+
 @pytest.mark.parametrize("argv, message", [
     ("ktf --N 12 --n 2 --m1 1 --m2 1 --h gaussian:1", "need n >= 1 coprime to N"),
     ("ktf --N 7 --n 1 --m1 0 --m2 1 --h gaussian:1", "need m1, m2 >= 1"),
@@ -81,7 +91,8 @@ def test_index_out_of_range_is_usage_error(capsys):
     ("equidist --p 2 --m 1 --h gaussian:1 --N-list 0", "factor() requires n >= 1"),
     ("equidist --p 4 --m 1 --h gaussian:1 --N-list 7", "p must be a prime not dividing N"),
     ("equidist --p 2 --m 0 --h gaussian:1 --N-list 7", "need m1, m2 >= 1"),
-    ("equidist --p 2 --m 1 --h gaussian:1 --N-list 7 --l-list -1", "need n >= 1 coprime to N"),
+    ("equidist --p 2 --m 1 --h gaussian:1 --N-list 7 --l-list -1",
+     "degree ell must be nonnegative, got ell = -1"),
 ])
 def test_flag_outside_domain_is_usage_error(argv, message, capsys):
     code, out, err = run_cli(argv.split(), capsys)
@@ -211,49 +222,6 @@ def test_reproducibility(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
-
-
-def test_runtime_imports_numpy_only():
-    code = ("import sys, ktf_kit, ktf_kit.cli\n"
-            "print(*sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == ""
-
-
-def _package_imports():
-    """(module, enclosing function or None, source module, name) for every import
-    from a ktf_kit module; an import in a function is listed under both scopes."""
-    import ast
-    from pathlib import Path
-    import ktf_kit
-    found = set()
-    for path in Path(ktf_kit.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        scopes = [(None, tree)] + [(f.name, f) for f in ast.walk(tree)
-                                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for scope, root in scopes:
-            for node in ast.walk(root):
-                if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ktf_kit")):
-                    source = (node.module or "").rsplit(".", 1)[-1]
-                    found |= {(path.stem, scope, source, a.name) for a in node.names}
-    return found
-
-
-def test_no_private_names_across_modules():
-    # a ktf_kit module imports no underscore name of another, nested imports
-    # included; the one exception is the single Jint per h that zagier_hat shares
-    found = {(m, source, name) for m, scope, source, name in _package_imports()
-             if scope is None and name.startswith("_")}
-    assert found == {("transforms", "ktf", "_jint_cache")}
-
-
-def test_function_local_imports_are_allow_listed():
-    # sibling imports sit at module level unless an import cycle forces them into
-    # a function: zagier_hat's Jint comes from ktf, which imports transforms, and
-    # must call j2it_values through ktf, where bench/tracer.py measures it
-    found = {entry for entry in _package_imports() if entry[1] is not None}
-    assert found == {("transforms", "zagier_hat", "ktf", "_jint_cache")}
 
 
 def test_console_script_help():

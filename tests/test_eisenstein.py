@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ktf_kit import arith
+from ktf_kit import arith, eisenstein
 from ktf_kit.characters import (
     CharacterPair,
     DirichletCharacter,
@@ -178,6 +178,41 @@ def test_L_partial_variant():
     full = dirichlet_L(chi, s)
     part = dirichlet_L(induce(chi, 15), s)
     assert abs(part - full * (1 - chi(3) * 3**-s)) < 1e-12
+
+
+def test_dirichlet_L_cache_returns_the_cold_bits():
+    ss = 1 + 2j * np.linspace(1e-6, 6.5, 2048)
+    eisenstein._primitive_L.cache_clear()
+    for chi in (DirichletCharacter.principal(12), induce(enumerate_characters(5)[1], 15),
+                enumerate_characters(7)[2]):
+        cold = dirichlet_L(chi, ss).tobytes()
+        assert dirichlet_L(chi, ss).tobytes() == cold
+    assert eisenstein._primitive_L.cache_info().hits == 3
+    assert eisenstein._primitive_L.cache_info().maxsize is not None
+
+
+def test_continuous_contexts_share_one_hurwitz_call(monkeypatch):
+    from ktf_kit import ktf
+    from ktf_kit.transforms import TestFunction
+    h = TestFunction.parse("gaussian:1")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return hurwitz_zeta(*args, **kwargs)
+
+    monkeypatch.setattr(eisenstein, "hurwitz_zeta", counted)
+    eisenstein._primitive_L.cache_clear()
+    for N in range(4, 13):
+        ktf._ContinuousContext(N, DirichletCharacter.principal(N), h)
+    assert calls == [(1.0,)]  # zeta(s) on the one t-grid
+
+
+def test_cached_L_values_are_read_only():
+    ss = 1 + 2j * np.linspace(0.1, 2.0, 16)
+    out = dirichlet_L(TRIV1, ss)  # no Euler factor: the cached array itself
+    with pytest.raises(ValueError):
+        out[0] = 0
 
 
 # ------------------------------------------------------------------ basis

@@ -55,6 +55,17 @@ def test_modified_measure_moments():
 def test_moment_report_validation():
     with pytest.raises(ValueError):
         moment_report(10, DirichletCharacter.principal(10), 5, 0, 1, H)
+    with pytest.raises(ValueError, match="got ell = -1"):
+        moment_report(7, DirichletCharacter.principal(7), 2, -1, 1, H)
+
+
+def test_scan_rejects_a_negative_degree_before_any_report(monkeypatch):
+    def refuse(req):
+        raise AssertionError("a report was computed")
+
+    monkeypatch.setattr(equidist, "cuspidal_inferred", refuse)
+    with pytest.raises(ValueError, match="got ell = -2"):
+        equidist_scan(2, 1, H, [7, 11], (0, 1, -2))
 
 
 def test_moment_report_predictions():

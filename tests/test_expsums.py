@@ -1,14 +1,11 @@
-import importlib
 import itertools
 import math
-import pkgutil
 import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import ktf_kit
 from ktf_kit import arith, expsums
 from ktf_kit.characters import DirichletCharacter, enumerate_characters, induce
 from ktf_kit.expsums import (
@@ -291,28 +288,6 @@ def test_plan_caches_stay_bounded():
     for cache in PLAN_CACHES:
         info = cache.cache_info()
         assert info.maxsize == expsums._PLANS and info.currsize <= expsums._PLANS
-
-
-def test_unbounded_caches_are_allow_listed():
-    # a new cache anywhere in ktf_kit has to be bounded: memory must not grow
-    # with the length of a c-series or with the level
-    allowed = {
-        ("arith", "divisors"), ("arith", "unit_group"), ("arith", "_unit_log_table"),
-        ("characters", "_conductor_local"),
-        ("equidist", "_gc_nodes"),
-        ("expsums", "_chi_values"), ("expsums", "_local_component_cached"),
-        ("specfun", "_leggauss"),
-        ("transforms", "_half_line_nodes"), ("transforms", "get_pipeline"),
-    }
-    unbounded = set()
-    for info in pkgutil.iter_modules(ktf_kit.__path__):
-        module = importlib.import_module(f"ktf_kit.{info.name}")
-        unbounded |= {(info.name, name) for name, f in vars(module).items()
-                      if getattr(f, "__module__", None) == module.__name__
-                      and callable(getattr(f, "cache_info", None))
-                      and f.cache_info().maxsize is None}
-    assert ("expsums", "_chi_values") in unbounded  # the lint sees the caches it lists
-    assert unbounded <= allowed, sorted(unbounded - allowed)
 
 
 def test_swap_and_scaling():
