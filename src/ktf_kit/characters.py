@@ -72,14 +72,11 @@ class DirichletCharacter:
 
     @cached_property
     def _plan(self) -> tuple[int, tuple]:
-        """(lambda(N), one (q, log table, weights, weights as int64) per p^k || N)."""
-        lam = arith.carmichael(self.modulus)
-        local = []
-        for p, vec in self.exponents:
-            q = self._ppart(p)
-            w = _angle_weights(q, vec, lam)
-            local.append((q, arith._unit_log_table(q), w, np.array(w, dtype=np.int64)))
-        return lam, tuple(local)
+        """(lambda(N), one (q, log table, weights, weights as int64) per p^k || N).
+
+        Read from ``_character_plan``, so equal characters built apart share one plan.
+        """
+        return _character_plan(self.modulus, self.exponents)
 
     def _angles(self, x):
         """k with chi(x) = e(k / lambda(N)) for an int or int array x of units mod N.
@@ -149,6 +146,10 @@ class DirichletCharacter:
 
     def primitive(self) -> "DirichletCharacter":
         """The primitive character inducing this one (modulus = conductor)."""
+        return self._primitive
+
+    @cached_property
+    def _primitive(self) -> "DirichletCharacter":
         return induce(self, self.conductor)
 
     def label(self) -> str:
@@ -188,6 +189,22 @@ class DirichletCharacter:
         if chi.conductor != obj["conductor"]:
             raise ValueError("conductor mismatch in serialized character")
         return chi
+
+
+_CHARACTER_PLANS = 4096  # one plan per distinct (modulus, exponents); a plan holds no table
+
+
+@lru_cache(maxsize=_CHARACTER_PLANS)
+def _character_plan(N: int, exponents: tuple) -> tuple[int, tuple]:
+    """DirichletCharacter._plan of the character (N, exponents); the log tables
+    are ``arith._unit_log_table``'s own, so an entry adds only its weights."""
+    lam = arith.carmichael(N)
+    local = []
+    for p, vec in exponents:
+        q = p ** arith.ord_p(N, p)
+        w = _angle_weights(q, vec, lam)
+        local.append((q, arith._unit_log_table(q), w, np.array(w, dtype=np.int64)))
+    return lam, tuple(local)
 
 
 @lru_cache(maxsize=None)

@@ -145,21 +145,21 @@ class EisensteinBasisElement:
                 return i
         raise KeyError(p)
 
-    @property
+    @cached_property  # kept in the instance __dict__, outside the frozen fields
     def M(self) -> int:
         return math.prod(p**i for p, i in self.tuple_ip)
 
-    @property
+    @cached_property
     def N1(self) -> int:
         return math.prod(p**k for (p, k), (_, i) in zip(arith.factor(self.level), self.tuple_ip)
                          if i < k)
 
-    @property
+    @cached_property
     def N2(self) -> int:
         return math.prod(p**k for (p, k), (_, i) in zip(arith.factor(self.level), self.tuple_ip)
                          if i > 0)
 
-    @cached_property  # kept in the instance __dict__, outside the frozen fields
+    @cached_property
     def chi1p(self) -> DirichletCharacter:
         return induce(self.pair.chi1, self.N1)
 
@@ -208,8 +208,21 @@ class EisensteinBasisElement:
                 self.M, f"{self.norm_sq.numerator}/{self.norm_sq.denominator}")
 
 
-def enumerate_basis(N: int, omega: DirichletCharacter) -> list[EisensteinBasisElement]:
-    """All basis elements for level N and nebentypus omega (mod N)."""
+# The plans below keep per key what a call would otherwise rebuild: the basis of
+# a level, with the characters and constants its elements cache, and the s-free
+# factors of sigma_s and lambda_n_eis.  A request, a t-grid or a crosscheck asks
+# the same few keys again and again.
+_BASES = 64
+_COEFFICIENT_PLANS = 4096
+
+
+@lru_cache(maxsize=_BASES)
+def enumerate_basis(N: int, omega: DirichletCharacter) -> tuple[EisensteinBasisElement, ...]:
+    """All basis elements for level N and nebentypus omega (mod N).
+
+    Cached per (N, omega), so every caller shares the elements and what they
+    cache (chi1', chi2' on M, the constant, ...).
+    """
     if omega.modulus != N:
         raise ValueError("omega must be a character mod N")
     out = []
@@ -218,7 +231,7 @@ def enumerate_basis(N: int, omega: DirichletCharacter) -> list[EisensteinBasisEl
         ranges = [[(p, i) for i in range(arith.ord_p(c2, p), k - arith.ord_p(c1, p) + 1)]
                   for p, k in arith.factor(N)]
         out += [EisensteinBasisElement(pair, ip) for ip in itertools.product(*ranges)]
-    return out
+    return tuple(out)
 
 
 def phi_fin_value(e: EisensteinBasisElement, c: int, d: int) -> complex:
@@ -248,17 +261,36 @@ def sigma_s(e: EisensteinBasisElement, m: int, s: complex | np.ndarray) -> compl
         total = (arith.phi(M) * dirichlet_L(e.chi1p.conj(), 2 * sa)
                  if e.pair.chi2.conductor == 1 else np.zeros_like(sa))
     else:
-        chi2M = e.chi2_on_M
-        chi1p = e.chi1p
-        total = np.zeros_like(sa)
-        for c in arith.divisors(abs(m)):
-            w = np.conj(chi1p(c)) if e.N1 > 1 else 1.0
-            if w == 0:
-                continue
-            g = gauss_sum(chi2M, m // c, "formula")
-            total = total + w * g * np.exp(-2 * sa * math.log(c))
+        total = _divisor_sum(_sigma_plan(e, m), sa)
     out = np.exp(-(1 + 2 * sa) * math.log(M)) * total
     return complex(out) if sa.ndim == 0 else out
+
+
+def _divisor_sum(plan: tuple[tuple[float, complex], ...], sa: np.ndarray) -> np.ndarray:
+    """sum over the plan's (log d, w) of w d^{-2s}, in the plan's order."""
+    total = np.zeros_like(sa)
+    for log_d, w in plan:
+        total = total + w * np.exp(-2 * sa * log_d)
+    return total
+
+
+@lru_cache(maxsize=_COEFFICIENT_PLANS)
+def _sigma_plan(e: EisensteinBasisElement, m: int) -> tuple[tuple[float, complex], ...]:
+    """(log c, conj(chi1'(c)) G_{chi2' mod M}(m/c)) for the c | m with chi1'(c) != 0."""
+    plan = []
+    for c in arith.divisors(abs(m)):
+        w = np.conj(e.chi1p(c)) if e.N1 > 1 else 1.0
+        if w == 0:
+            continue
+        plan.append((math.log(c), w * gauss_sum(e.chi2_on_M, m // c, "formula")))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=_COEFFICIENT_PLANS)
+def _lambda_plan(n: int, pair: CharacterPair) -> tuple[tuple[float, complex], ...]:
+    """(log d, conj(chi1(d) chi2(n/d))) for the d | n."""
+    return tuple((math.log(d), np.conj(pair.chi1(d) * pair.chi2(n // d)))
+                 for d in arith.divisors(n))
 
 
 def lambda_n_eis(n: int, pair: CharacterPair, s: complex | np.ndarray) -> complex | np.ndarray:
@@ -266,10 +298,7 @@ def lambda_n_eis(n: int, pair: CharacterPair, s: complex | np.ndarray) -> comple
     if n < 1 or math.gcd(n, pair.modulus) != 1:
         raise ValueError("need n >= 1 coprime to the level")
     sa = np.asarray(s, dtype=complex)
-    total = np.zeros_like(sa)
-    for d in arith.divisors(n):
-        total = total + np.conj(pair.chi1(d) * pair.chi2(n // d)) * np.exp(-2 * sa * math.log(d))
-    out = np.exp(sa * math.log(n)) * total
+    out = np.exp(sa * math.log(n)) * _divisor_sum(_lambda_plan(n, pair), sa)
     return complex(out) if sa.ndim == 0 else out
 
 

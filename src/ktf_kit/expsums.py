@@ -37,21 +37,28 @@ def _table_cache(build):
     A small modulus recurs in most terms of a c-series, while a table for a
     large prime modulus is read once or twice and rebuilding it costs what the
     O(q) sum reading it costs.  So an overfull cache drops its largest tables
-    first, down to the budget; a table larger than the budget is returned and
-    not kept.  ``cache_info()`` reads like that of ``functools.lru_cache``,
-    with the budget as ``maxsize``.
+    first, down to the budget.  A table larger than the budget goes to one
+    extra slot, outside the budget, which the next such table replaces: at a
+    prime level N above the budget every c-series term reads the table of N.
+    ``cache_info()`` reads like that of ``functools.lru_cache``, with the
+    budget as ``maxsize`` and the slot counted in ``currsize``.
     """
     tables: dict[int, object] = {}
+    slot_q, slot = 0, None   # the oversize slot: its modulus and table
     size = hits = misses = 0
 
     @wraps(build)
     def cached(q: int):
-        nonlocal size, hits, misses
-        table = tables.get(q)
+        nonlocal size, hits, misses, slot_q, slot
+        table = slot if q == slot_q else tables.get(q)
         if table is not None:
             hits += 1
             return table
         misses += 1
+        if q > _TABLE_BUDGET:
+            slot = None   # drop the old table before building the new one
+            slot_q, slot = q, build(q)
+            return slot
         table = tables[q] = build(q)
         size += q
         while size > _TABLE_BUDGET:
@@ -60,7 +67,8 @@ def _table_cache(build):
             size -= largest
         return table
 
-    cached.cache_info = lambda: _CacheInfo(hits, misses, _TABLE_BUDGET, len(tables))
+    cached.cache_info = lambda: _CacheInfo(hits, misses, _TABLE_BUDGET,
+                                           len(tables) + (slot is not None))
     return cached
 
 
@@ -113,10 +121,11 @@ def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
     these tables.  The units are np.arange(q) masked by the primes of q, and the
     inverses are x^(phi(q) - 1) mod q by square-and-multiply on the whole array.
     Every product is below q^2, so the domain is q^2 < 2^63 (q <= 3037000499),
-    and a larger q raises ValueError; the c-series stops at ktf._C_CAP = 1.5e6.
-    At most _TABLE_BUDGET = 2^19 residues are kept in all (8 MB), largest moduli
-    dropped first: _classical_kloosterman reads these tables, not a plan, so the
-    new modulus of each c-series term falls under this budget.
+    and a larger q raises ValueError; the c-series stops after ktf._K_CAP = 1.5e6
+    terms.  At most _TABLE_BUDGET = 2^19 residues are kept in all (8 MB), largest
+    moduli dropped first, plus the one oversize slot: _classical_kloosterman reads
+    these tables, not a plan, so the new modulus of each c-series term falls under
+    this budget.
     """
     if q == 1:
         return np.array([0]), np.array([0])
@@ -160,13 +169,19 @@ def gauss_sum(chi: DirichletCharacter, m: int, mode: str = "direct") -> complex:
         chi0 = chi.primitive()
         c = chi0.modulus
         ell = M // c
-        tau0 = gauss_sum(chi0, 1, "direct")
+        tau0 = _primitive_tau(chi0)
         total = 0j
         g = math.gcd(ell, abs(m)) if m != 0 else ell
         for a in arith.divisors(g):
             total += a * arith.mu(ell // a) * chi0(ell // a) * np.conj(chi0(m // a))
         return complex(tau0 * total)
     raise ValueError(f"unknown gauss_sum mode {mode!r}")
+
+
+@lru_cache(maxsize=_PLANS)
+def _primitive_tau(chi0: DirichletCharacter) -> complex:
+    """tau(chi0) = G_chi0(1) of a primitive chi0, which every formula-mode sum scales."""
+    return gauss_sum(chi0, 1, "direct")
 
 
 # ----------------------------------------------------------------------------

@@ -184,7 +184,7 @@ _jint_cache = lru_cache(maxsize=16)(_JIntegralCache)
 
 
 _TAIL_WINDOW = 48  # trailing partial sums whose spread is the tail_bound
-_C_CAP = 1_500_000  # the c-series raises ArithmeticError past this modulus
+_K_CAP = 1_500_000  # the c-series raises ArithmeticError past this many terms
 _MIN_TERMS = 64  # the c-series never stops before this many terms
 
 
@@ -214,13 +214,13 @@ def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
     while True:
         k += 1
         c = k * req.N
-        if c > _C_CAP:
+        if k > _K_CAP:
             if k <= _MIN_TERMS:
                 why = f"{k - 1} terms summed, below the {_MIN_TERMS}-term minimum"
             else:
                 tail = max(abs(t0 - total) for t0 in history)
                 why = f"partial-sum spread {tail:.3e} above tolerance {tol_c:.3e}"
-            raise ArithmeticError(f"c-sum not converged by c = {_C_CAP}: {why}")
+            raise ArithmeticError(f"c-sum not converged in {_K_CAP} terms: {why}")
         term = _c_term(req, c, jint, A / c, scale)
         total += term
         if return_terms:

@@ -351,3 +351,28 @@ def test_pairs_at_a_prime_level_near_one_million(monkeypatch):
     assert pairs_with_product(quadratic) == [CharacterPair(principal, quadratic),
                                              CharacterPair(quadratic, principal)]
     assert seen == [1, 1]
+
+
+# ------------------------------------------------------------- per-character plans
+
+
+@PROPERTY
+@given(characters())
+def test_primitive_is_kept_once_per_character(chi):
+    assert chi.primitive() is chi.primitive()
+    assert chi.primitive() == induce(chi, chi.conductor)
+
+
+@PROPERTY
+@given(characters())
+def test_equal_characters_share_one_plan(chi):
+    # a character rebuilt from its fields, or by the algebra, reads the same plan
+    assert DirichletCharacter(chi.modulus, chi.exponents)._plan is chi._plan
+    assert chi.conj().conj()._plan is chi._plan
+    assert induce(chi, chi.modulus)._plan is chi._plan
+    assert chi.mul(DirichletCharacter.principal(chi.modulus))._plan is chi._plan
+
+
+def test_enumerated_characters_share_plans_across_calls():
+    first, again = enumerate_characters(60), enumerate_characters(60)
+    assert all(a is not b and a._plan is b._plan for a, b in zip(first, again))

@@ -102,11 +102,11 @@ def test_flag_outside_domain_is_usage_error(argv, message, capsys):
 
 def test_unconverged_c_series_is_tolerance_exit(monkeypatch, capsys):
     from ktf_kit import ktf
-    monkeypatch.setattr(ktf, "_C_CAP", 70)
+    monkeypatch.setattr(ktf, "_K_CAP", 10)
     code, out, err = run_cli(["ktf", "--N", "7", "--h", "gaussian:1"], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("error: c-sum not converged by c = 70")
-    # N = 7 reaches the cap after 10 terms, before the 64-term minimum
+    assert err.startswith("error: c-sum not converged in 10 terms")
+    # the cap stops the series after 10 terms, before the 64-term minimum
     assert "10 terms summed, below the 64-term minimum" in err
     assert "inf" not in err
 

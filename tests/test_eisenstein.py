@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ktf_kit import arith, eisenstein
+from ktf_kit import arith, characters, eisenstein, expsums
 from ktf_kit.characters import (
     CharacterPair,
     DirichletCharacter,
@@ -25,6 +25,7 @@ from ktf_kit.eisenstein import (
     residue_half,
     sigma_s,
 )
+from ktf_kit.expsums import gauss_sum
 
 TRIV1 = DirichletCharacter.principal(1)
 
@@ -135,6 +136,89 @@ def test_sigma_lambda_array_match_scalar(e, m, n, ss):
         scalar = lambda_n_eis(n, e.pair, s)
         assert isinstance(scalar, complex)
         assert abs(lam - scalar) <= 1e-14 * max(1.0, abs(scalar))
+
+
+# ------------------------------------------------------------- coefficient plans
+
+
+def _gauss_formula_oracle(chi, m):
+    """gauss_sum(chi, m, "formula") from a fresh primitive character and tau."""
+    chi0 = induce(chi, chi.conductor)
+    ell = chi.modulus // chi0.modulus
+    tau0 = gauss_sum(chi0, 1, "direct")
+    total = 0j
+    g = math.gcd(ell, abs(m)) if m != 0 else ell
+    for a in arith.divisors(g):
+        total += a * arith.mu(ell // a) * chi0(ell // a) * np.conj(chi0(m // a))
+    return complex(tau0 * total)
+
+
+def _sigma_oracle(e, m, s):
+    """sigma_s(e, m, s), m != 0, with every character and sum built afresh."""
+    N = e.level
+    M = math.prod(p**i for p, i in e.tuple_ip)
+    N1 = math.prod(p**k for (p, k), (_, i) in zip(arith.factor(N), e.tuple_ip) if i < k)
+    chi1p, chi2M = induce(e.pair.chi1, N1), induce(e.pair.chi2, M)
+    sa = np.asarray(s, dtype=complex)
+    total = np.zeros_like(sa)
+    for c in arith.divisors(abs(m)):
+        w = np.conj(chi1p(c)) if N1 > 1 else 1.0
+        if w == 0:
+            continue
+        total = total + w * _gauss_formula_oracle(chi2M, m // c) * np.exp(-2 * sa * math.log(c))
+    out = np.exp(-(1 + 2 * sa) * math.log(M)) * total
+    return complex(out) if sa.ndim == 0 else out
+
+
+def _lambda_oracle(n, pair, s):
+    sa = np.asarray(s, dtype=complex)
+    total = np.zeros_like(sa)
+    for d in arith.divisors(n):
+        total = total + np.conj(pair.chi1(d) * pair.chi2(n // d)) * np.exp(-2 * sa * math.log(d))
+    out = np.exp(sa * math.log(n)) * total
+    return complex(out) if sa.ndim == 0 else out
+
+
+@st.composite
+def even_levels(draw):
+    """(N, omega) with N <= 60 and omega even."""
+    N = draw(st.integers(1, 60))
+    return N, draw(st.sampled_from([c for c in enumerate_characters(N) if c.angle(-1) == 0]))
+
+
+def _bits(v):
+    return np.asarray(v).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(even_levels(), st.data())
+def test_sigma_lambda_plans_match_a_cache_free_oracle(level, data):
+    basis = enumerate_basis(*level)
+    assume(basis)
+    e = data.draw(st.sampled_from(basis))
+    m = data.draw(st.integers(-40, 40).filter(bool))
+    n = data.draw(st.integers(1, 40).filter(lambda k: math.gcd(k, e.level) == 1))
+    ss = data.draw(st.lists(st.builds(complex, st.floats(-0.4, 2.0), st.floats(-12.0, 12.0)),
+                            min_size=1, max_size=6))
+    for s in (ss[0], np.array(ss)):
+        for _ in range(2):  # the second call reads the plans the first one kept
+            assert _bits(sigma_s(e, m, s)) == _bits(_sigma_oracle(e, m, s))
+            assert _bits(lambda_n_eis(n, e.pair, s)) == _bits(_lambda_oracle(n, e.pair, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(even_levels())
+def test_basis_is_one_tuple_per_level_and_omega(level):
+    N, omega = level
+    basis = enumerate_basis(N, omega)
+    assert isinstance(basis, tuple)
+    assert enumerate_basis(N, DirichletCharacter(N, omega.exponents)) is basis
+
+
+def test_plan_caches_are_bounded():
+    for cache in (characters._character_plan, expsums._primitive_tau,
+                  eisenstein.enumerate_basis, eisenstein._sigma_plan, eisenstein._lambda_plan):
+        assert cache.cache_info().maxsize is not None
 
 
 def test_L_nonreal_mod5_finite():

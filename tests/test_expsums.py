@@ -114,8 +114,12 @@ def test_table_cache_drops_the_largest_tables_first():
     assert cache(half) is first  # a hit: both tables fit the budget
     cache(3)  # two residues over the budget: the largest table, q = half, goes
     assert cache.cache_info().currsize == 2 and cache(half) is not first
-    assert cache(budget + 1) is not cache(budget + 1)  # larger than the budget: never kept
-    assert cache.cache_info() == (1, 6, budget, 2)
+    big = cache(budget + 1)  # larger than the budget: kept in the one oversize slot
+    assert cache(budget + 1) is big and cache.cache_info().currsize == 3
+    assert cache(budget + 2) is not big  # the next oversize table replaces it
+    assert cache(budget + 1) is not big
+    cache(half - 1)  # a hit: the slot leaves the tables under the budget alone
+    assert cache.cache_info() == (3, 7, budget, 3)
 
 
 @pytest.mark.parametrize("c", [1, 2, 6, 12, 45, 60])

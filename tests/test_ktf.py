@@ -169,6 +169,30 @@ def test_geo_kloosterman_memory_ceiling_at_level_7():
     assert int(peak_kib) < 100 * 1024
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux)")
+@pytest.mark.parametrize("N", [30030, 100003])
+def test_cli_report_at_large_level_memory_ceiling(N):
+    # past N = 23,437 the c-series reaches c = 1.5e6 within its 64-term minimum,
+    # so only a cap on terms (not on c) lets these levels finish.  Measured peaks
+    # are 38 MB at N = 30030 and 44 MB at N = 100003 (0.15 s and 0.27 s); building
+    # all phi(N) characters for the Eisenstein pairs took 100 MB at N = 100003.
+    code = ("import sys, json, contextlib, io\n"
+            "from ktf_kit.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(sys.argv[1:])\n"
+            "hwm = [line.split()[1] for line in open('/proc/self/status')\n"
+            "       if line.startswith('VmHWM:')]\n"
+            "print(code, json.loads(out.getvalue())['c_terms_used'], *hwm)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code, "ktf", "--N", str(N), "--h", "gaussian:1"],
+                         capture_output=True, text=True, check=True, env=env)
+    exit_code, used, peak_kib = map(int, out.stdout.split())
+    assert exit_code == 0 and used == 64
+    assert peak_kib < 64 * 1024
+
+
 def test_geo_kloosterman_magnitude_trend():
     vals = []
     for N in (101, 401, 1009):
