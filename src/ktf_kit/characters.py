@@ -23,21 +23,6 @@ import numpy as np
 from . import arith
 
 
-def _angle_weights(q: int, vec: tuple[int, ...], lam: int) -> tuple[int, ...]:
-    """w with chi_q(x) = e((log(x) . w) / lam): w_i = vec_i lam / order_i.
-
-    chi_q is the character of (Z/q)^*, q = p^j, with exponent vector vec, and
-    lam is a multiple of lambda(q); log(x) is x's row of ``arith._unit_log_table(q)``.
-    """
-    return tuple(e * (lam // o) for e, o in zip(vec, arith.unit_group(q).orders))
-
-
-def _local_angle(q: int, vec: tuple[int, ...], x, lam: int):
-    """k with chi_q(x) = e(k / lam), exactly; x an int or an int array of units mod q."""
-    w = np.array(_angle_weights(q, vec, lam), dtype=np.int64)
-    return arith._unit_log_table(q)[np.asarray(x) % q] @ w % lam
-
-
 @dataclass(frozen=True)
 class DirichletCharacter:
     """Character mod N given by exponents against canonical unit-group generators.
@@ -53,11 +38,7 @@ class DirichletCharacter:
 
     @staticmethod
     def principal(N: int) -> "DirichletCharacter":
-        vecs = []
-        for p, k in arith.factor(N):
-            st = arith.unit_group(p**k)
-            vecs.append((p, (0,) * len(st.generators)))
-        return DirichletCharacter(N, tuple(vecs))
+        return character(N, 0)
 
     def _vec(self, p: int) -> tuple[int, ...]:
         for q, v in self.exponents:
@@ -144,12 +125,9 @@ class DirichletCharacter:
     def conductor(self) -> int:
         return _conductor(self)
 
+    @cached_property
     def primitive(self) -> "DirichletCharacter":
         """The primitive character inducing this one (modulus = conductor)."""
-        return self._primitive
-
-    @cached_property
-    def _primitive(self) -> "DirichletCharacter":
         return induce(self, self.conductor)
 
     def label(self) -> str:
@@ -202,7 +180,7 @@ def _character_plan(N: int, exponents: tuple) -> tuple[int, tuple]:
     local = []
     for p, vec in exponents:
         q = p ** arith.ord_p(N, p)
-        w = _angle_weights(q, vec, lam)
+        w = tuple(e * (lam // o) for e, o in zip(vec, arith.unit_group(q).orders))
         local.append((q, arith._unit_log_table(q), w, np.array(w, dtype=np.int64)))
     return lam, tuple(local)
 
@@ -216,8 +194,9 @@ def _conductor_local(q: int, vec: tuple[int, ...]) -> int:
     if all(e == 0 for e in vec):
         return 1
     (p, k), = arith.factor(q).pairs
+    chi_q = DirichletCharacter(q, ((p, vec),))
     for j in range(1, k):
-        if not _local_angle(q, vec, np.arange(1, q, p**j), arith.carmichael(q)).any():
+        if not chi_q._angles(np.arange(1, q, p**j)).any():
             return p**j
     return q
 
@@ -229,19 +208,29 @@ def _conductor(chi: DirichletCharacter) -> int:
     return c
 
 
-def enumerate_characters(N: int) -> list[DirichletCharacter]:
-    """All phi(N) characters mod N in lexicographic exponent order."""
+def character(N: int, index: int) -> DirichletCharacter:
+    """enumerate_characters(N)[index], index in [0, phi(N)), built without the others.
+
+    The index is read in mixed radix over the generator orders of every
+    p^k || N in turn, the last generator fastest: lexicographic exponent order.
+    """
     if N < 1:
         raise ValueError("modulus must be positive")
-    primes = [(p, p**k) for p, k in arith.factor(N)]
-    ranges = []
-    for p, q in primes:
-        st = arith.unit_group(q)
-        ranges.append([tuple(v) for v in itertools.product(*(range(o) for o in st.orders))])
-    out = []
-    for combo in itertools.product(*ranges):
-        out.append(DirichletCharacter(N, tuple((p, v) for (p, _q), v in zip(primes, combo))))
-    return out
+    if not 0 <= index < arith.phi(N):
+        raise ValueError(f"character index {index} out of range for modulus {N}")
+    vecs = []
+    for p, k in reversed(arith.factor(N).pairs):
+        vec = []
+        for o in reversed(arith.unit_group(p**k).orders):
+            index, e = divmod(index, o)
+            vec.append(e)
+        vecs.append((p, tuple(reversed(vec))))
+    return DirichletCharacter(N, tuple(reversed(vecs)))
+
+
+def enumerate_characters(N: int) -> list[DirichletCharacter]:
+    """All phi(N) characters mod N in index order (``character``)."""
+    return [character(N, i) for i in range(arith.phi(N))]
 
 
 def induce(chi: DirichletCharacter, M: int) -> DirichletCharacter:
@@ -263,7 +252,8 @@ def induce(chi: DirichletCharacter, M: int) -> DirichletCharacter:
         # exponents from the values of chi's p-part on the generators of (Z/p^k)^*
         q = chi._ppart(p)
         lam = arith.carmichael(q)
-        e = _local_angle(q, chi._vec(p), np.array(st.generators, dtype=np.int64), lam) * st.orders
+        chi_q = DirichletCharacter(q, ((p, chi._vec(p)),))
+        e = chi_q._angles(np.array(st.generators, dtype=np.int64)) * st.orders
         if np.any(e % lam):
             raise ValueError(f"the character mod {q} does not descend to modulus {p**k}")
         out.append((p, tuple(int(v) for v in e // lam)))

@@ -16,7 +16,7 @@ import sys
 
 from . import arith
 from .characters import (
-    DirichletCharacter,
+    character,
     enumerate_characters,  # noqa: F401  not called here; bench/tracer.py wraps it
 )
 from .eisenstein import enumerate_basis, eisenstein_eval, residue_half
@@ -57,26 +57,6 @@ class _UsageError(Exception):
     """A flag value outside its documented range; main maps it to USAGE_EXIT."""
 
 
-def _char(N: int, index: int) -> DirichletCharacter:
-    """enumerate_characters(N)[index], without building the other characters.
-
-    The index is read in mixed radix over the generator orders of every
-    p^k || N in turn, the last generator fastest, as that order runs.
-    """
-    if N < 1:
-        raise _UsageError("modulus must be positive")
-    if not 0 <= index < arith.phi(N):
-        raise _UsageError(f"character index {index} out of range for modulus {N}")
-    vecs = []
-    for p, k in reversed(arith.factor(N).pairs):
-        vec = []
-        for o in reversed(arith.unit_group(p**k).orders):
-            index, e = divmod(index, o)
-            vec.append(e)
-        vecs.append((p, tuple(reversed(vec))))
-    return DirichletCharacter(N, tuple(reversed(vecs)))
-
-
 def _from_flags(build, *args):
     """build(*args) from flag values; a ValueError there is a usage error."""
     try:
@@ -86,7 +66,7 @@ def _from_flags(build, *args):
 
 
 def _ktf_request(args) -> KtfRequest:
-    omega = _char(args.N, args.omega_index)
+    omega = _from_flags(character, args.N, args.omega_index)
     return _from_flags(KtfRequest, args.N, omega, args.n, args.m1, args.m2,
                        _from_flags(TestFunction.parse, args.h))
 
@@ -231,14 +211,14 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "kloosterman":
-        chi = _char(args.modulus, args.char_index)
+        chi = _from_flags(character, args.modulus, args.char_index)
         q = _from_flags(KloostermanQuery, args.a, args.b, args.n, args.c, chi)
         v = kloosterman(q, args.mode)
         print(_c(v) if abs(v.imag) > 1e-12 else _f(v.real))
         return 0
 
     if cmd == "gauss":
-        chi = _char(args.modulus, args.char_index)
+        chi = _from_flags(character, args.modulus, args.char_index)
         v = gauss_sum(chi, args.m, args.mode)
         print(_c(v))
         return 0
@@ -288,7 +268,7 @@ def _dispatch(args) -> int:
         return 0 if rel <= args.tol else TOLERANCE_EXIT
 
     if cmd == "eisenstein":
-        omega = _char(args.N, args.omega_index)
+        omega = _from_flags(character, args.N, args.omega_index)
         basis = enumerate_basis(args.N, omega)
         if args.list_basis:
             _write_csv(None, ["chi1", "chi2", "ip", "M", "norm_sq"],

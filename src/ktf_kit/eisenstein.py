@@ -115,7 +115,7 @@ def dirichlet_L(chi: DirichletCharacter, s: complex | np.ndarray) -> complex | n
     sa = np.asarray(s, dtype=complex)
     if chi.is_principal() and np.any(np.abs(sa - 1) < 1e-12):
         raise ValueError("L(s, principal) has a pole at s = 1")
-    chi0 = chi.primitive()
+    chi0 = chi.primitive
     c = chi0.modulus
     out = _primitive_L(chi0, sa.shape, sa.tobytes())
     for p, _ in arith.factor(chi.modulus):

@@ -166,7 +166,7 @@ def gauss_sum(chi: DirichletCharacter, m: int, mode: str = "direct") -> complex:
         idx = (np.arange(M) * (m % M)) % M
         return complex(np.sum(vals * ph[idx]))
     if mode == "formula":
-        chi0 = chi.primitive()
+        chi0 = chi.primitive
         c = chi0.modulus
         ell = M // c
         tau0 = _primitive_tau(chi0)
@@ -215,7 +215,10 @@ def kloosterman(q: KloostermanQuery, mode: str = "direct") -> complex:
 
 @lru_cache(maxsize=_PLANS)
 def _direct_plan(n: int, c: int, chi: DirichletCharacter):
-    """(conj(chi) at X mod N, X, X') over the pairs x x' = n in Z/cZ."""
+    """(conj(chi) at X mod N, X, X') over the pairs x x' = n in Z/cZ; the weights are
+    None for n = 1 mod c and a principal chi, where every x is a unit."""
+    if n % c == 1 % c and chi.is_principal():
+        return (None, *_units(c))
     X, XP = _pairs(n, c)
     return np.conj(_chi_values(chi))[X % chi.modulus], X, XP
 
@@ -224,7 +227,11 @@ def _kloosterman_direct(a: int, b: int, n: int, c: int, chi: DirichletCharacter)
     if c == 1:
         return 1.0 + 0j
     vals, X, XP = _direct_plan(n, c, chi)
-    return complex((vals * _phase(c)[(a * X + b * XP) % c]).sum())
+    idx = a * X  # in place: at c ~ 10^6 each fresh temporary is paged in anew per call
+    idx += b * XP
+    idx %= c
+    phases = _phase(c)[idx]
+    return complex((phases if vals is None else vals * phases).sum())
 
 
 @lru_cache(maxsize=None)
@@ -285,9 +292,9 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
         return twisted_kloosterman(a, b * p**k, modulus, chi_p,
                                    mode="salie" if salie else "direct")
     # constant-one local factor
+    ap = arith.ord_p(a, p) if a % modulus != 0 else ell
+    bp = arith.ord_p(b, p) if b % modulus != 0 else ell
     if k < ell:
-        ap = arith.ord_p(a, p) if a % modulus != 0 else ell
-        bp = arith.ord_p(b, p) if b % modulus != 0 else ell
         if k > min(ap, k) + min(bp, k):
             return 0j
         total = 0j
@@ -296,8 +303,6 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
             total += _classical_kloosterman(a // p ** (k - i), b // p**i, qq)
         return complex(p**k * total)
     # k >= ell: ramanujan-sum evaluation
-    ap = arith.ord_p(a, p) if a % modulus != 0 else ell
-    bp = arith.ord_p(b, p) if b % modulus != 0 else ell
     total = 0j
     for i in range(0, ell + 1):
         if i > bp:

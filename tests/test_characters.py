@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -11,6 +12,7 @@ from ktf_kit import arith
 from ktf_kit.characters import (
     CharacterPair,
     DirichletCharacter,
+    character,
     enumerate_characters,
     induce,
     local_component,
@@ -27,6 +29,29 @@ def test_counts_and_conductors():
     assert cs8 == [1, 4, 8, 8]
     for N in range(1, 61):
         assert len(enumerate_characters(N)) == arith.phi(N)
+
+
+def lexicographic_characters(N):
+    """Oracle: every exponent choice mod N by itertools.product, prime by prime,
+    the last generator fastest."""
+    primes = [p for p, _ in arith.factor(N)]
+    local = [list(itertools.product(*(range(o) for o in arith.unit_group(p**k).orders)))
+             for p, k in arith.factor(N)]
+    return [DirichletCharacter(N, tuple(zip(primes, combo)))
+            for combo in itertools.product(*local)]
+
+
+def test_char_index_is_the_enumeration_index():
+    for N in range(1, 61):
+        chars = lexicographic_characters(N)
+        assert [character(N, i) for i in range(len(chars))] == chars
+        assert enumerate_characters(N) == chars
+        for index in (-1, len(chars)):
+            with pytest.raises(ValueError, match=f"character index {index} out of range"):
+                character(N, index)
+    for N in (0, -7):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            character(N, 0)
 
 
 def test_eval_basics():
@@ -106,7 +131,7 @@ def test_local_component_rejects_bad_modulus():
 def test_induce_roundtrip():
     for N in (9, 12, 40):
         for chi in enumerate_characters(N):
-            back = induce(chi.primitive(), N)
+            back = induce(chi.primitive, N)
             assert back == chi
 
 
@@ -221,7 +246,7 @@ def test_angles_add(chi, data):
 @given(characters(), st.data())
 def test_induce_and_local_components(chi, data):
     N = chi.modulus
-    assert induce(chi.primitive(), N) == chi
+    assert induce(chi.primitive, N) == chi
     n = data.draw(units_mod(N))
     total = Fraction(0)
     for p, k in arith.factor(N):
@@ -279,7 +304,7 @@ def test_conductor_is_least_modulus_of_triviality(chi):
 @settings(max_examples=60, deadline=None)
 @given(characters(), st.integers(-10**6, 10**6))
 def test_primitive_gauss_sum_has_abs_square_q(chi, m):
-    prim = chi.primitive()
+    prim = chi.primitive
     q = prim.modulus
     assume(math.gcd(m, q) == 1)
     assert abs(abs(gauss_sum(prim, m)) ** 2 - q) <= 1e-11 * q
@@ -359,8 +384,8 @@ def test_pairs_at_a_prime_level_near_one_million(monkeypatch):
 @PROPERTY
 @given(characters())
 def test_primitive_is_kept_once_per_character(chi):
-    assert chi.primitive() is chi.primitive()
-    assert chi.primitive() == induce(chi, chi.conductor)
+    assert chi.primitive is chi.primitive
+    assert chi.primitive == induce(chi, chi.conductor)
 
 
 @PROPERTY

@@ -4,8 +4,7 @@ import sys
 
 import pytest
 
-from ktf_kit.characters import enumerate_characters
-from ktf_kit.cli import _UsageError, _char, main, load_spectral_data
+from ktf_kit.cli import main, load_spectral_data
 
 HEADER = "t_re,t_im,a_m1_re,a_m1_im,a_m2_re,a_m2_im,norm_sq,lambda_re,lambda_im"
 
@@ -64,15 +63,6 @@ def test_index_out_of_range_is_usage_error(capsys):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
-def test_char_index_is_the_enumeration_index():
-    for N in range(1, 61):
-        chars = enumerate_characters(N)
-        assert [_char(N, i) for i in range(len(chars))] == chars
-        for index in (-1, len(chars)):
-            with pytest.raises(_UsageError, match=f"character index {index} out of range"):
-                _char(N, index)
-
-
 @pytest.mark.parametrize("argv, message", [
     ("ktf --N 12 --n 2 --m1 1 --m2 1 --h gaussian:1", "need n >= 1 coprime to N"),
     ("ktf --N 7 --n 1 --m1 0 --m2 1 --h gaussian:1", "need m1, m2 >= 1"),
@@ -88,7 +78,7 @@ def test_char_index_is_the_enumeration_index():
     ("crosscheck --N 0 --n 1 --m1 1 --m2 1 --h gaussian:1", "modulus must be positive"),
     ("eisenstein --N -3 --s-re 0.75", "modulus must be positive"),
     ("equidist --p 2 --m 1 --h gaussian:1 --N-list 7,abc", "invalid literal for int()"),
-    ("equidist --p 2 --m 1 --h gaussian:1 --N-list 0", "factor() requires n >= 1"),
+    ("equidist --p 2 --m 1 --h gaussian:1 --N-list 0", "modulus must be positive"),
     ("equidist --p 4 --m 1 --h gaussian:1 --N-list 7", "p must be a prime not dividing N"),
     ("equidist --p 2 --m 0 --h gaussian:1 --N-list 7", "need m1, m2 >= 1"),
     ("equidist --p 2 --m 1 --h gaussian:1 --N-list 7 --l-list -1",

@@ -317,7 +317,7 @@ def test_derived_characters_match_the_primitive_route():
     for N in (12, 36, 45):
         for om in enumerate_characters(N):
             for e in enumerate_basis(N, om):
-                chi1, chi2 = e.pair.chi1.primitive(), e.pair.chi2.primitive()
+                chi1, chi2 = e.pair.chi1.primitive, e.pair.chi2.primitive
                 assert e.chi1p == induce(chi1, e.N1)
                 assert e.chi2p == induce(chi2, e.N2)
                 assert e.chi2_on_M == induce(chi2, e.M)

@@ -238,6 +238,16 @@ def test_pairs_match_the_loop(c, n, multiple):
             assert g.dtype == w.dtype and np.array_equal(g, w), (m, c)
 
 
+@PROPERTY
+@given(st.integers(1, 300), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_principal_twist_is_the_classical_sum(q, a, b):
+    # conj(chi) is 1 on the units: the direct plan keeps no weight array, and the
+    # twisted sum is the classical one bit for bit
+    chi = DirichletCharacter.principal(q)
+    assert repr(twisted_kloosterman(a, b, q, chi)) == repr(expsums._classical_kloosterman(a, b, q))
+    assert expsums._direct_plan(1, q, chi)[0] is None
+
+
 def test_factored_route_builds_only_prime_power_unit_tables(monkeypatch):
     # the twisted local factors read _pairs(1, q), which is _units(q); a pair
     # table of a composite c would be an O(c) table per c-series term

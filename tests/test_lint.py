@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
@@ -85,3 +86,15 @@ def test_no_module_level_containers():
              for name, value in vars(module).items()
              if not name.startswith("__") and isinstance(value, (dict, list, set))}
     assert found == set()
+
+
+def test_tracer_boundaries_exist():
+    # bench/tracer.py skips a boundary it cannot find and reports the per-layer
+    # metrics on it as absent; a renamed or deleted function would do that silently
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(mod_name, attr) for mod_name, attr, _name, _counter in tracer.BOUNDARIES
+               if not callable(getattr(importlib.import_module(f"ktf_kit.{mod_name}"), attr, None))]
+    assert tracer.BOUNDARIES and missing == []
