@@ -79,16 +79,19 @@ class DirichletCharacter:
         """Exact value as k in [0, lambda(N)) with chi(n) = e(k / lambda(N)).
 
         lambda(N) = arith.carmichael(N); None when gcd(n, N) > 1, where chi(n) = 0.
+        A principal character answers 0 without building its plan.
         """
         if math.gcd(n, self.modulus) != 1:
             return None
+        if self.is_principal():
+            return 0
         return int(self._angles(n))
 
     def __call__(self, n: int) -> complex:
         k = self.angle(n)
         if k is None:
             return 0j
-        return cmath.exp(2j * cmath.pi * (k / self._plan[0]))
+        return cmath.exp(2j * cmath.pi * (k / self._plan[0])) if k else 1 + 0j
 
     def values(self) -> np.ndarray:
         """chi(x) for x = 0..N-1 as one complex array, 0 off the units."""
@@ -118,6 +121,16 @@ class DirichletCharacter:
 
     def is_principal(self) -> bool:
         return all(all(e == 0 for e in vec) for _, vec in self.exponents)
+
+    def parity(self) -> int:
+        """chi(-1), +1 or -1, read from the exponents with no table.
+
+        -1 is g^(phi(q)/2) on the generator g of an odd p^k and is the generator
+        of 4, so chi_q(-1) = (-1)^e there; at 2^k, k >= 3, -1 is the first
+        generator; mod 2 the group is trivial.  So chi(-1) is -1 to the sum of
+        the first exponent of every p^k || N other than 2.
+        """
+        return -1 if sum(vec[0] for _, vec in self.exponents if vec) % 2 else 1
 
     # -- conductor and induction -------------------------------------------------
 

@@ -241,7 +241,7 @@ def _local_component_cached(chi: DirichletCharacter, p: int, q: int) -> Dirichle
 
 @lru_cache(maxsize=_PLANS)
 def _local_plan(n: int, c: int, chi: DirichletCharacter):
-    """One entry per q = p^e || c: (q, ia, ib, p^k, chi_p), with p^k || n.
+    """One entry per q = p^e || c: (p, q, ia, ib, p^k, chi_p), with p^k || n.
 
     ia = (c/q)^-1 mod q and ib = ia (n/p^k) mod q, so the local factor at q of
     S_chi(a, b; n; c) is S(a ia, b ib; p^k; q) twisted by chi_p, the p-part of
@@ -253,18 +253,22 @@ def _local_plan(n: int, c: int, chi: DirichletCharacter):
         ia = arith.inv_mod(c // q % q, q)
         pk = p ** arith.ord_p(n, p)
         chi_p = _local_component_cached(chi, p, q) if chi.modulus % p == 0 else None
-        plan.append((q, ia, ia * (n // pk % q) % q, pk, chi_p))
+        plan.append((p, q, ia, ia * (n // pk % q) % q, pk, chi_p))
     return tuple(plan)
 
 
 def _kloosterman_factored(a: int, b: int, n: int, c: int, chi: DirichletCharacter,
                           salie: bool) -> complex:
     total = 1.0 + 0j
-    for q, ia, ib, pk, chi_p in _local_plan(n, c, chi):
+    for p, q, ia, ib, pk, chi_p in _local_plan(n, c, chi):
+        u, v = a * ia % q, b * ib % q
+        if chi_p is None and u % p:
+            # S(u, v; p^k; q) = S(1, uv; p^k; q) for a unit u (x -> x/u, x' -> u x'),
+            # so the untwisted factors of one uv share a cache entry
+            u, v = 1, u * v % q
         # the flag only selects a route for a twisted factor; an untwisted one
         # shares its cache entry with both modes
-        total *= kloosterman_local(a * ia % q, b * ib % q, pk, q, chi_p,
-                                   salie=salie and chi_p is not None)
+        total *= kloosterman_local(u, v, pk, q, chi_p, salie=salie and chi_p is not None)
     return complex(total)
 
 

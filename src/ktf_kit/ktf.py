@@ -35,7 +35,7 @@ from .eisenstein import (
     sigma_s,
 )
 from .expsums import KloostermanQuery, kloosterman
-from .specfun import gl_integrate, gl_panels, j2it_values
+from .specfun import ODE_X0, gl_integrate, gl_panels, j2it_values, j2it_weighted_series
 from .transforms import TestFunction, get_pipeline, h_tanh_integral
 
 
@@ -56,7 +56,7 @@ class KtfRequest:
     def __post_init__(self):
         if self.omega.modulus != self.N:
             raise ValueError("nebentypus must have modulus N")
-        if abs(self.omega(-1) - 1) > 1e-12:
+        if self.omega.parity() != 1:
             raise ValueError("need omega(-1) = 1")
         if self.n < 1 or math.gcd(self.n, self.N) != 1:
             raise ValueError("need n >= 1 coprime to N")
@@ -148,15 +148,16 @@ class _JIntegralCache:
     """Jint(x) = int_R J_{2it}(x) h(t) t / cosh(pi t) dt on t-grids per h.
 
     A grid, keyed by its panel count, keeps its series coefficient table (see
-    specfun._j_series; its rows grow to the term count of the largest x seen)
-    and its ODE checkpoint path (see specfun._j2it_ode_extend) for every x
-    that uses it."""
+    specfun._j_series; its rows grow to the term count of the largest x seen),
+    those rows times the integrand's weights (see specfun.j2it_weighted_series),
+    through which an x <= ODE_X0 costs one matrix-vector product, and its ODE
+    checkpoint path (see specfun._j2it_ode_extend) for every x that uses it."""
 
     def __init__(self, h: TestFunction):
         self.h = h
         self.T = get_pipeline(h).T
         self._cache: dict[float, complex] = {}
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray, list, list]] = {}
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray, list, list, list]] = {}
 
     def _grid(self, x: float):
         key = int(2.0 * (1.0 + abs(math.log(x / 2.0))))
@@ -165,14 +166,17 @@ class _JIntegralCache:
         if panels not in self._grids:
             ts, ws = gl_panels(0.0, self.T, panels, 16)
             hw = np.real(np.asarray(self.h(ts))) * ts / np.cosh(np.pi * ts) * ws
-            self._grids[panels] = (ts, hw, [], [])
+            self._grids[panels] = (ts, hw, [], [], [])
         return self._grids[panels]
 
     def __call__(self, x: float) -> complex:
         if x not in self._cache:
-            ts, hw, table, path = self._grid(x)
-            jv = j2it_values(ts, x, table=table, path=path)
-            self._cache[x] = complex(2j * np.sum(np.imag(jv) * hw))
+            ts, hw, table, weighted, path = self._grid(x)
+            if x <= ODE_X0:
+                s = j2it_weighted_series(ts, hw, x, table, weighted).imag
+            else:
+                s = np.sum(np.imag(j2it_values(ts, x, table=table, path=path)) * hw)
+            self._cache[x] = complex(2j * s)
         return self._cache[x]
 
 

@@ -6,6 +6,8 @@ up to x = 6 and from Taylor steps of Bessel's equation above it (within 3e-13
 relative of mpmath for |t| <= 60, measured; one t per call), Gamma from
 a fixed Lanczos table, elementwise on arrays so a whole t-grid takes one call
 (the ktf module keeps the series coefficient table of each of its t-grids).
+A weighted sum over a t-grid in the series range, as in a J-integral, is one
+matrix-vector product on those rows times the weights (j2it_weighted_series).
 All constants live here so results are reproducible bit-for-bit across runs.
 """
 
@@ -140,6 +142,7 @@ def bessel_K_it(t: float, x) -> float | np.ndarray:
 
 
 _K2_REL_TOL = 1e-9  # k_squared_integral stops when its estimate is this far below the value
+_K2_T_MAX = 13.0  # k_squared_integral's verified domain is |t| <= this
 
 
 def k_squared_integral(t: float) -> float:
@@ -149,11 +152,15 @@ def k_squared_integral(t: float) -> float:
     gl_integrate estimate meets _K2_REL_TOL; ArithmeticError if it never does.
     The range starts at -40 because at t = 0 the integrand decays only like
     v^2 e^v as v -> -inf (the part below -26 is 8e-9 of the value).
-    Verified for |t| <= 13 (relative error 2e-14 at t = 0, below 1e-11 up to
-    t = 12.5).  Above that K_it loses its relative accuracy (~e^{-pi |t| / 2}
-    out of cancelling O(1) terms) and the estimate stalls: the call raises at
-    t = 13.5, 14 and 20.
+    Verified for |t| <= _K2_T_MAX = 13 (relative error 2e-14 at t = 0, below
+    1e-11 up to t = 12.5).  Above that K_it loses its relative accuracy
+    (~e^{-pi |t| / 2} out of cancelling O(1) terms) and the estimate stalls
+    (at t = 13.5, 14 and 20 all six levels failed), so a larger |t| raises
+    ArithmeticError before integrating.
     """
+    if abs(t) > _K2_T_MAX:
+        raise ArithmeticError(f"k_squared_integral at t = {t}: outside |t| <= {_K2_T_MAX:g}, "
+                              "where its estimate stalls")
     for panels in (16, 32, 64, 128, 256, 512):
         v, ws = gl_panels(-40.0, 3.0, panels)
         w = np.exp(v)
@@ -169,8 +176,8 @@ def k_squared_integral(t: float) -> float:
 
 J_SERIES_CUTOFF = 30.0
 _SERIES_TOL = 1e-18  # the last series term kept, relative to the first
-_ODE_X0 = 6.0  # above this x, J_2it is continued by Taylor steps from series data here
-_ODE_STEP = 1.0  # the Taylor steps go along the lattice _ODE_X0 + k _ODE_STEP
+ODE_X0 = 6.0  # above this x, J_2it is continued by Taylor steps from series data here
+_ODE_STEP = 1.0  # the Taylor steps go along the lattice ODE_X0 + k _ODE_STEP
 _ODE_TERMS = 45  # Taylor terms per (sub-)step
 _ODE_T_PER_SUBSTEP = 20.0  # a step has 1 + floor(max |t| / this) sub-steps
 
@@ -180,8 +187,8 @@ def bessel_J_2it(t: float, x: float) -> complex:
     relative of mpmath for |t| <= 60 (measured).
 
     The power series is used where its cancellation stays harmless
-    (x <= _ODE_X0 = 6); for _ODE_X0 < x <= cutoff the value is continued by
-    Taylor steps of Bessel's equation from series data at _ODE_X0, which keep
+    (x <= ODE_X0 = 6); for ODE_X0 < x <= cutoff the value is continued by
+    Taylor steps of Bessel's equation from series data at ODE_X0, which keep
     that accuracy (the raw series loses ~e^x in float64).  Outside the
     domain a ValueError names its bound (below it x/2 underflows in log(x/2));
     larger arguments are reached internally by the ktf module through
@@ -241,6 +248,32 @@ def _j_series(nu: np.ndarray, x: float, table: list | None = None) -> np.ndarray
     return np.exp(nu * math.log(x / 2.0)) * acc
 
 
+def j2it_weighted_series(ts: np.ndarray, weights: np.ndarray, x: float,
+                         table: list | None = None, weighted: list | None = None) -> complex:
+    """sum_t weights(t) J_{2it}(x) over an array of t, by the series of _j_series
+    summed over t first (x <= ODE_X0).
+
+    With E = (x/2)^{2it} and z = -x^2/4 the sum is sum_k z^k (W[k] . E), where
+    row k of W is weights * c_k(2it), c_k the rows of _series_table: one complex
+    exp on the grid and one (K(x) + 1, len(ts)) matrix-vector product per x.
+
+    A caller that evaluates many x on one t-grid with fixed weights keeps
+    table, as in _j_series, and weighted, a list whose one element is W (start
+    both as []); W is rebuilt from the table when K(x) passes its height.
+    """
+    ts = np.asarray(ts, dtype=float)
+    K = _series_terms(x)
+    weighted = [] if weighted is None else weighted
+    if not weighted or len(weighted[0]) <= K:
+        weighted[:] = [np.array(_series_table(2j * ts, K, table)) * weights]
+    v = (weighted[0][:K + 1] @ np.exp(ts * (2j * math.log(x / 2.0)))).tolist()
+    z = -x * x / 4.0
+    acc = v[K]
+    for row in reversed(v[:K]):
+        acc = acc * z + row
+    return acc
+
+
 def _taylor_step(x0: float, h: float, y: np.ndarray, yp: np.ndarray, t4: np.ndarray, m: int):
     """(y, y') at x0 + h from (y, y') at x0 by m equal sub-steps, each summing
     _ODE_TERMS Taylor terms of x^2 y'' + x y' + (x^2 + t4) y = 0, t4 = 4t^2.  Its
@@ -266,7 +299,7 @@ def _j2it_ode_extend(ts: np.ndarray, x: float, table: list | None = None,
                      path: list | None = None) -> np.ndarray:
     """J_{2it}(x) beyond the safe series range by Taylor steps of Bessel's ODE.
 
-    Seeds at _ODE_X0 with series values (cancellation-free there) and the
+    Seeds at ODE_X0 with series values (cancellation-free there) and the
     exact derivative J_nu' = (nu/x) J_nu - J_{nu+1}, then takes Taylor steps
     (_taylor_step) on the unit lattice 6, 7, 8, ..., with one partial step to
     x.  For imaginary order the equation is oscillatory with bounded
@@ -281,14 +314,14 @@ def _j2it_ode_extend(ts: np.ndarray, x: float, table: list | None = None,
     bit-identical to a fresh sweep: the checkpoints are lattice states, and
     the partial step to x never replaces a stored state.
     """
-    if x < _ODE_X0:
+    if x < ODE_X0:
         raise ValueError("ODE extension only goes upward from the seed")
     ts = np.asarray(ts, dtype=float)
     nu = 2j * ts
     path = [] if path is None else path
     if not path:
-        y = _j_series(nu, _ODE_X0, table)
-        path.append((_ODE_X0, y, (nu / _ODE_X0) * y - _j_series(nu + 1, _ODE_X0)))
+        y = _j_series(nu, ODE_X0, table)
+        path.append((ODE_X0, y, (nu / ODE_X0) * y - _j_series(nu + 1, ODE_X0)))
     t4 = 4.0 * ts * ts
     m = 1 + int(np.max(np.abs(ts), initial=0.0) / _ODE_T_PER_SUBSTEP)
     i = len(path) - 1
@@ -312,6 +345,6 @@ def j2it_values(ts: np.ndarray, x: float, table: list | None = None,
     the ODE checkpoint list of _j2it_ode_extend (start both as []).
     """
     ts = np.asarray(ts, dtype=float)
-    if x <= _ODE_X0:
+    if x <= ODE_X0:
         return _j_series(2j * ts, x, table)
     return _j2it_ode_extend(ts, x, table, path)

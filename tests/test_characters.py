@@ -21,6 +21,12 @@ from ktf_kit.characters import (
 from ktf_kit.expsums import gauss_sum
 
 
+def test_parity_is_the_value_at_minus_one():
+    for N in range(1, 65):
+        for chi in enumerate_characters(N):
+            assert abs(chi(-1) - chi.parity()) < 1e-12
+
+
 def test_counts_and_conductors():
     assert len(enumerate_characters(1)) == 1
     cs5 = sorted(c.conductor for c in enumerate_characters(5))

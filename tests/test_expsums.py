@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ktf_kit import arith, expsums
 from ktf_kit.characters import DirichletCharacter, enumerate_characters, induce
@@ -200,6 +200,39 @@ def test_untwisted_local_factor_is_cached_once_for_both_modes():
     s = kloosterman(q, "salie")
     assert f == s
     assert kloosterman_local.cache_info().misses == 1
+
+
+def test_untwisted_local_factors_of_one_uv_share_a_cache_entry():
+    # mod a prime the one local factor of S(a, b; 1; c) is S(a, b; c); the
+    # factored route looks it up as S(1, ab; c)
+    kloosterman_local.cache_clear()
+    values = [kloosterman(KloostermanQuery(a, 6 * pow(a, -1, 10007) % 10007, 1, 10007, TRIV),
+                          "factored") for a in (1, 2, 3, 6)]
+    assert kloosterman_local.cache_info().misses == 1
+    direct = kloosterman(KloostermanQuery(2, 3, 1, 10007, TRIV), "direct")
+    assert all(abs(v - direct) < 1e-9 for v in values)
+
+
+PRIME_POWERS = [q for q in range(2, 3**6 + 1) if len(arith.factor(q).pairs) == 1]
+
+
+@PROPERTY
+@given(st.sampled_from(PRIME_POWERS), st.integers(0, 20), st.integers(1, 3**6),
+       st.integers(0, 3**6))
+@example(2**6, 7, 3, 5)     # p = 2, k = ell + 1
+@example(2**9, 4, 5, 12)    # p = 2, k < ell
+@example(3**6, 3, 2, 27)    # k < ell, p | v
+def test_untwisted_local_factor_depends_on_uv_alone(q, k, u, v):
+    # S(u, v; p^k; q) = S(1, uv; p^k; q) for a unit u (x -> x/u, x' -> u x'): the
+    # identity behind the key under which the factored route caches these factors;
+    # q = p^ell <= 3^6, k <= ell + 1
+    (p, ell), = arith.factor(q).pairs
+    k %= ell + 2
+    if u % p == 0:
+        u += 1
+    lhs = kloosterman_local(u % q, v % q, p**k, q, None)
+    rhs = kloosterman_local(1, u * v % q, p**k, q, None)
+    assert abs(lhs - rhs) <= 1e-12 * q
 
 
 # ------------------------------------------------------------------ plans

@@ -11,7 +11,7 @@ import pytest
 
 import ktf_kit
 from ktf_kit import arith
-from ktf_kit.characters import DirichletCharacter, enumerate_characters
+from ktf_kit.characters import DirichletCharacter, character, enumerate_characters
 from ktf_kit.eisenstein import enumerate_basis, hurwitz_zeta
 from ktf_kit.ktf import (
     _TAIL_WINDOW,
@@ -29,7 +29,7 @@ from ktf_kit.ktf import (
     spec_continuous,
     t_predicate,
 )
-from ktf_kit.specfun import gl_panels
+from ktf_kit.specfun import gl_panels, j2it_values
 from ktf_kit.transforms import TestFunction, get_pipeline, v_zero
 
 H = TestFunction.gaussian(1.0)
@@ -61,6 +61,20 @@ def test_request_validation():
     odd = [c for c in enumerate_characters(3) if abs(c(-1) + 1) < 1e-12][0]
     with pytest.raises(ValueError):
         KtfRequest(3, odd, 1, 1, 1, H)          # omega(-1) = -1
+
+
+def test_request_and_main_term_build_no_unit_log_table():
+    # omega(-1) is read from the exponents and a principal omega's angles are 0,
+    # so neither a request at a large prime level (even or odd omega) nor its
+    # main term builds an O(N) unit-log table
+    N = 10**6 + 3
+    before = arith._unit_log_table.cache_info().currsize
+    req = KtfRequest(N, DirichletCharacter.principal(N), 1, 1, 1, H)
+    with pytest.raises(ValueError, match="omega"):
+        KtfRequest(N, character(N, 1), 1, 1, 1, H)
+    main = arith.psi(N) * h_tanh_integral(H)
+    assert abs(geo_main(req) - main) <= 1e-15 * main
+    assert arith._unit_log_table.cache_info().currsize == before
 
 
 def test_geo_main_values():
@@ -117,8 +131,28 @@ def test_jint_ode_arguments_share_one_grid():
     for x in (7.0, 10.0, 15.0):
         jint(x)
     assert len(jint._grids) == 1
-    (path_len,) = [len(path) for _, _, _, path in jint._grids.values()]
+    (path_len,) = [len(path) for *_, path in jint._grids.values()]
     assert path_len == 1 + 8  # the seed at x = 6, a checkpoint past each of 7, ..., 14
+
+
+def test_jint_series_range_matches_the_elementwise_sum():
+    # up to x = 6 Jint is one matrix-vector product on its t-grid's weighted
+    # series rows; the sum of the elementwise J values on the same grid agrees
+    jint = _jint_cache(H)
+    rng = np.random.default_rng(1)
+    for x in np.exp(rng.uniform(math.log(1e-12), math.log(6.0), 200)).tolist():
+        ts, hw, *_ = jint._grid(x)
+        ref = 2j * np.sum(np.imag(j2it_values(ts, x)) * hw)
+        assert abs(jint(x) - ref) <= 5e-14 * np.sum(np.abs(hw))
+
+
+@pytest.mark.parametrize("N, n, used", [
+    (101, 1, 956), (101, 2, 989), (101, 4, 1338),
+    (401, 1, 335), (401, 2, 368), (401, 4, 318),
+    (1009, 1, 163), (1009, 2, 176), (1009, 4, 166)])
+def test_c_terms_used_pinned(N, n, used):
+    req = KtfRequest(N, DirichletCharacter.principal(N), n, 1, 1, H)
+    assert geo_kloosterman(req)[2] == used
 
 
 def test_geo_kloosterman_real_for_equal_m():
@@ -165,7 +199,7 @@ def test_geo_kloosterman_memory_ceiling_at_level_7():
                          check=True, env=env)
     used, g2, peak_kib = out.stdout.split()
     assert int(used) == 11469
-    assert g2 == "(-0.035825093770078836-7.596384283081689e-17j)"
+    assert g2 == "(-0.03582509377007817-7.517806947631313e-17j)"
     assert int(peak_kib) < 100 * 1024
 
 
