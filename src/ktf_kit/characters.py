@@ -49,6 +49,14 @@ class DirichletCharacter:
     def _ppart(self, p: int) -> int:
         return p ** arith.ord_p(self.modulus, p) if self.modulus % p == 0 else 1
 
+    def __post_init__(self):
+        # characters key the Kloosterman caches, which hash them on every lookup
+        object.__setattr__(self, "_hash", hash((self.modulus, self.exponents)))
+
+    def __hash__(self) -> int:
+        """The hash of (modulus, exponents), computed once at construction."""
+        return self._hash
+
     # -- exact evaluation ------------------------------------------------------
 
     @cached_property

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -31,44 +31,62 @@ _INT64_SQRT = math.isqrt(2**63 - 1)   # largest q with q^2 < 2^63
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
-def _table_cache(build):
-    """Cache the O(q) tables build(q) by modulus q, at most _TABLE_BUDGET residues in all.
+def _table_cache(build, residues=lambda q: q, maxsize=None):
+    """Cache the O(q) tables build(*key), at most _TABLE_BUDGET residues in all,
+    an entry counting residues(*key) of them (by default the modulus q itself).
 
     A small modulus recurs in most terms of a c-series, while a table for a
     large prime modulus is read once or twice and rebuilding it costs what the
     O(q) sum reading it costs.  So an overfull cache drops its largest tables
     first, down to the budget.  A table larger than the budget goes to one
     extra slot, outside the budget, which the next such table replaces: at a
-    prime level N above the budget every c-series term reads the table of N.
-    ``cache_info()`` reads like that of ``functools.lru_cache``, with the
-    budget as ``maxsize`` and the slot counted in ``currsize``.
+    prime level N above the budget every term of the c-series reads the table
+    of N.  With maxsize (the plans) at most that many entries are kept besides
+    the slot, and an overfull cache drops its oldest entries first: the calls
+    of one key come back to back, so the newest entry is the one in use.
+    ``cache_info()`` reads like that of ``functools.lru_cache``, with maxsize,
+    or else the budget, as ``maxsize`` and the slot counted in ``currsize``;
+    ``cache_clear()`` empties the cache.
     """
-    tables: dict[int, object] = {}
-    slot_q, slot = 0, None   # the oversize slot: its modulus and table
+    tables: dict = {}   # key -> table, oldest first
+    sizes: dict = {}    # key -> residues
+    slot_key, slot = None, None   # the oversize slot: its key and table
     size = hits = misses = 0
 
     @wraps(build)
-    def cached(q: int):
-        nonlocal size, hits, misses, slot_q, slot
-        table = slot if q == slot_q else tables.get(q)
+    def cached(*key):
+        nonlocal size, hits, misses, slot_key, slot
+        table = tables.get(key)
+        if table is None and key == slot_key:
+            table = slot
         if table is not None:
             hits += 1
             return table
         misses += 1
+        q = residues(*key)
         if q > _TABLE_BUDGET:
             slot = None   # drop the old table before building the new one
-            slot_q, slot = q, build(q)
+            slot_key, slot = key, build(*key)
             return slot
-        table = tables[q] = build(q)
+        table = tables[key] = build(*key)
+        sizes[key] = q
         size += q
-        while size > _TABLE_BUDGET:
-            largest = max(tables)
-            del tables[largest]
-            size -= largest
+        while size > _TABLE_BUDGET or (maxsize and len(tables) > maxsize):
+            victim = next(iter(tables)) if maxsize else max(sizes, key=sizes.get)
+            del tables[victim]
+            size -= sizes.pop(victim)
         return table
 
-    cached.cache_info = lambda: _CacheInfo(hits, misses, _TABLE_BUDGET,
+    def cache_clear():
+        nonlocal size, hits, misses, slot_key, slot
+        tables.clear()
+        sizes.clear()
+        size = hits = misses = 0
+        slot_key, slot = None, None
+
+    cached.cache_info = lambda: _CacheInfo(hits, misses, maxsize or _TABLE_BUDGET,
                                            len(tables) + (slot is not None))
+    cached.cache_clear = cache_clear
     return cached
 
 
@@ -107,9 +125,9 @@ def _pairs(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     return X[order], XP[order]
 
 
-@lru_cache(maxsize=None)
+@partial(_table_cache, residues=lambda chi: chi.modulus)
 def _chi_values(chi: DirichletCharacter) -> np.ndarray:
-    """chi.values(), cached: chi(x) for x = 0..N-1."""
+    """chi.values(), cached under the residue budget: chi(x) for x = 0..N-1."""
     return chi.values()
 
 
@@ -213,10 +231,14 @@ def kloosterman(q: KloostermanQuery, mode: str = "direct") -> complex:
     raise ValueError(f"unknown kloosterman mode {mode!r}")
 
 
-@lru_cache(maxsize=_PLANS)
+@partial(_table_cache, residues=lambda n, c, chi: c, maxsize=_PLANS)
 def _direct_plan(n: int, c: int, chi: DirichletCharacter):
     """(conj(chi) at X mod N, X, X') over the pairs x x' = n in Z/cZ; the weights are
-    None for n = 1 mod c and a principal chi, where every x is a unit."""
+    None for n = 1 mod c and a principal chi, where every x is a unit.
+
+    At most _PLANS entries and _TABLE_BUDGET residues of c are kept, plus one
+    plan of a larger c: a twisted modulus above the budget holds a weight array
+    of 16 bytes per unit."""
     if n % c == 1 % c and chi.is_principal():
         return (None, *_units(c))
     X, XP = _pairs(n, c)

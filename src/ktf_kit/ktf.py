@@ -35,7 +35,14 @@ from .eisenstein import (
     sigma_s,
 )
 from .expsums import KloostermanQuery, kloosterman
-from .specfun import ODE_X0, gl_integrate, gl_panels, j2it_values, j2it_weighted_series
+from .specfun import (
+    ODE_X0,
+    gl_integrate,
+    gl_panel_offsets,
+    gl_panels,
+    j2it_values,
+    j2it_weighted_series,
+)
 from .transforms import TestFunction, get_pipeline, h_tanh_integral
 
 
@@ -66,6 +73,14 @@ class KtfRequest:
 
 @dataclass
 class KtfReport:
+    """The terms of one request and their error figures, all estimates.
+
+    tail_bound, despite its name, estimates the c-series truncation error by
+    the spread of its last _TAIL_WINDOW partial sums (see geo_kloosterman);
+    it is not a bound.  t_quadrature_error is gl_integrate's estimate for the
+    continuous term.
+    """
+
     request: KtfRequest
     geo_main: complex
     geo_kloosterman: complex
@@ -147,37 +162,56 @@ def geo_main(req: KtfRequest) -> complex:
 class _JIntegralCache:
     """Jint(x) = int_R J_{2it}(x) h(t) t / cosh(pi t) dt on t-grids per h.
 
-    A grid, keyed by its panel count, keeps its series coefficient table (see
-    specfun._j_series; its rows grow to the term count of the largest x seen),
-    those rows times the integrand's weights (see specfun.j2it_weighted_series),
-    through which an x <= ODE_X0 costs one matrix-vector product, and its ODE
-    checkpoint path (see specfun._j2it_ode_extend) for every x that uses it."""
+    A grid, keyed by its panel count, has its nodes as panel midpoints plus
+    one offset vector (specfun.gl_panel_offsets) and keeps its series
+    coefficient table (see specfun._j_series; its rows grow to the term count
+    of the largest x seen), those rows times the integrand's weights (see
+    specfun.j2it_weighted_series), through which the x <= ODE_X0 of one call
+    cost one matrix product, and its ODE checkpoint path (see
+    specfun._j2it_ode_extend) for every x above ODE_X0."""
 
     def __init__(self, h: TestFunction):
         self.h = h
         self.T = get_pipeline(h).T
         self._cache: dict[float, complex] = {}
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray, list, list, list]] = {}
+        self._grids: dict[int, tuple] = {}
 
-    def _grid(self, x: float):
+    def _panels(self, x: float) -> int:
         key = int(2.0 * (1.0 + abs(math.log(x / 2.0))))
         width = min(0.25, 2.0 * math.pi / (4.0 * max(1.0, key / 2.0)))
-        panels = max(32, int(self.T / width))
+        return max(32, int(self.T / width))
+
+    def _grid(self, x: float):
+        """(ts, hw, mid, off, table, weighted, path) of the t-grid of x."""
+        panels = self._panels(x)
         if panels not in self._grids:
-            ts, ws = gl_panels(0.0, self.T, panels, 16)
+            mid, off, ws = gl_panel_offsets(0.0, self.T, panels, 16)
+            ts = (mid[:, None] + off).ravel()
             hw = np.real(np.asarray(self.h(ts))) * ts / np.cosh(np.pi * ts) * ws
-            self._grids[panels] = (ts, hw, [], [], [])
+            self._grids[panels] = (ts, hw, mid, off, [], [], [])
         return self._grids[panels]
 
+    def many(self, xs) -> list[complex]:
+        """Jint at each x of xs.  The new x <= ODE_X0 of one t-grid are one
+        j2it_weighted_series call; each new x above it is one j2it_values call."""
+        by_grid: dict[int, list[float]] = {}
+        for x in dict.fromkeys(xs):
+            if x not in self._cache:
+                by_grid.setdefault(self._panels(x), []).append(x)
+        for group in by_grid.values():
+            ts, hw, mid, off, table, weighted, path = self._grid(group[0])
+            series = [x for x in group if x <= ODE_X0]
+            if series:
+                sums = j2it_weighted_series(mid, off, hw, np.array(series), table, weighted)
+                self._cache.update(zip(series, (2j * sums.imag).tolist()))
+            for x in group:
+                if x > ODE_X0:
+                    s = np.sum(np.imag(j2it_values(ts, x, table=table, path=path)) * hw)
+                    self._cache[x] = complex(2j * s)
+        return [self._cache[x] for x in xs]
+
     def __call__(self, x: float) -> complex:
-        if x not in self._cache:
-            ts, hw, table, weighted, path = self._grid(x)
-            if x <= ODE_X0:
-                s = j2it_weighted_series(ts, hw, x, table, weighted).imag
-            else:
-                s = np.sum(np.imag(j2it_values(ts, x, table=table, path=path)) * hw)
-            self._cache[x] = complex(2j * s)
-        return self._cache[x]
+        return self.many([x])[0]
 
 
 _jint_cache = lru_cache(maxsize=16)(_JIntegralCache)
@@ -192,10 +226,11 @@ _K_CAP = 1_500_000  # the c-series raises ArithmeticError past this many terms
 _MIN_TERMS = 64  # the c-series never stops before this many terms
 
 
-def _c_term(req: KtfRequest, c: int, jint: _JIntegralCache, x: float, scale: complex) -> complex:
-    """scale S(m2,m1;n;c)/c Jint(x), one term of the c-series; scale = 2i psi(N)/pi."""
+def _c_term(req: KtfRequest, c: int, jint: complex, scale: complex) -> complex:
+    """scale S(m2,m1;n;c)/c jint, one term of the c-series, jint its Jint value;
+    scale = 2i psi(N)/pi."""
     S = kloosterman(KloostermanQuery(req.m2 % c, req.m1 % c, req.n, c, req.omega), "factored")
-    return scale * S / c * jint(x)
+    return scale * S / c * jint
 
 
 def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
@@ -204,7 +239,11 @@ def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
     The terms only admit a slowly-decaying certified majorant (the Weil bound
     ignores sign cancellation in c), so the series is summed until the spread
     of the partial sums over a trailing window falls below
-    abs_tol * psi(N); that spread is reported as tail_bound.
+    abs_tol * psi(N); that spread is reported as tail_bound.  It is an
+    estimate of the truncation error, not a bound: at small N the error left
+    past the window can be larger (for gaussian:1 the terms fall like
+    c^{-3/2}).  The Jint values come in blocks of the next _MIN_TERMS
+    arguments, one _JIntegralCache.many call each.
     """
     jint = _jint_cache(req.h)
     A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
@@ -225,7 +264,9 @@ def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
                 tail = max(abs(t0 - total) for t0 in history)
                 why = f"partial-sum spread {tail:.3e} above tolerance {tol_c:.3e}"
             raise ArithmeticError(f"c-sum not converged in {_K_CAP} terms: {why}")
-        term = _c_term(req, c, jint, A / c, scale)
+        if (k - 1) % _MIN_TERMS == 0:  # the Jint of the next _MIN_TERMS terms in one call
+            block = jint.many([A / (j * req.N) for j in range(k, k + _MIN_TERMS)])
+        term = _c_term(req, c, block[(k - 1) % _MIN_TERMS], scale)
         total += term
         if return_terms:
             terms.append((c, term))
@@ -339,8 +380,9 @@ def classical_crosscheck(req: KtfRequest, k_terms: int = 40) -> dict[str, float]
 
     def terms(r: KtfRequest, ell: int) -> tuple[complex, complex, complex]:
         scale = 2j * arith.psi(r.N) / math.pi
-        kloos = sum((_c_term(r, c, jint, A / (ell * c), scale)
-                     for c in range(r.N, C // ell + 1, r.N)), 0j)
+        cs = range(r.N, C // ell + 1, r.N)
+        jints = jint.many([A / (ell * c) for c in cs])
+        kloos = sum((_c_term(r, c, j, scale) for c, j in zip(cs, jints)), 0j)
         return geo_main(r), kloos, spec_continuous(r)[0]
 
     direct = terms(req, 1)

@@ -6,8 +6,9 @@ up to x = 6 and from Taylor steps of Bessel's equation above it (within 3e-13
 relative of mpmath for |t| <= 60, measured; one t per call), Gamma from
 a fixed Lanczos table, elementwise on arrays so a whole t-grid takes one call
 (the ktf module keeps the series coefficient table of each of its t-grids).
-A weighted sum over a t-grid in the series range, as in a J-integral, is one
-matrix-vector product on those rows times the weights (j2it_weighted_series).
+Weighted sums over a grid of equal panels in the series range, as in a
+J-integral, are taken for a whole array of x at once, with the phases split
+into panel midpoints and node offsets (j2it_weighted_series).
 All constants live here so results are reproducible bit-for-bit across runs.
 """
 
@@ -80,6 +81,19 @@ def gl_edges(edges, order: int = 16):
 def gl_panels(a: float, b: float, n_panels: int, order: int = 16):
     """Nodes and weights of a composite Gauss-Legendre rule on n_panels equal panels of [a, b]."""
     return gl_edges(np.linspace(a, b, n_panels + 1), order)
+
+
+def gl_panel_offsets(a: float, b: float, n_panels: int, order: int = 16):
+    """(mid, off, weights) of the rule of gl_panels, with node j of panel p at
+    mid[p] + off[j]: the panels are equal, so they share one offset vector.
+
+    The nodes (mid[:, None] + off).ravel() differ from those of gl_panels by
+    rounding only (at most 1.8e-15 on [0, T] for T <= 13, measured).
+    """
+    x0, w0 = _leggauss(order)
+    edges = np.linspace(a, b, n_panels + 1)
+    half = (b - a) / (2 * n_panels)
+    return 0.5 * (edges[:-1] + edges[1:]), half * x0, np.tile(half * w0, n_panels)
 
 
 @lru_cache(maxsize=1)
@@ -248,30 +262,66 @@ def _j_series(nu: np.ndarray, x: float, table: list | None = None) -> np.ndarray
     return np.exp(nu * math.log(x / 2.0)) * acc
 
 
-def j2it_weighted_series(ts: np.ndarray, weights: np.ndarray, x: float,
-                         table: list | None = None, weighted: list | None = None) -> complex:
-    """sum_t weights(t) J_{2it}(x) over an array of t, by the series of _j_series
-    summed over t first (x <= ODE_X0).
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant: splits a float64 into two 26-bit halves
 
-    With E = (x/2)^{2it} and z = -x^2/4 the sum is sum_k z^k (W[k] . E), where
-    row k of W is weights * c_k(2it), c_k the rows of _series_table: one complex
-    exp on the grid and one (K(x) + 1, len(ts)) matrix-vector product per x.
 
-    A caller that evaluates many x on one t-grid with fixed weights keeps
-    table, as in _j_series, and weighted, a list whose one element is W (start
-    both as []); W is rebuilt from the table when K(x) passes its height.
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a exactly and each half exactly multipliable (Veltkamp)."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(i a b) on the outer product of a column a and a row b.
+
+    p = fl(a b) misses a b by e, found exactly by Dekker's two-product (1971) on
+    the Veltkamp halves, and exp(i (p + e)) = exp(i p) (1 + i e) to first order.
+    So the phase keeps its accuracy however large |a b| is.
     """
-    ts = np.asarray(ts, dtype=float)
-    K = _series_terms(x)
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return np.exp(1j * p) * (1 + 1j * e)
+
+
+def j2it_weighted_series(mid: np.ndarray, off: np.ndarray, weights: np.ndarray, x,
+                         table: list | None = None, weighted: list | None = None):
+    """sum_t weights(t) J_{2it}(x) over the nodes t = mid[p] + off[j] of a grid of
+    equal panels (gl_panel_offsets, panel-major like weights), for each x of an
+    array of x <= ODE_X0; a scalar x is the length-1 case and gives a complex.
+
+    By the series of _j_series summed over t first: with E = (x/2)^{2it} and
+    z = -x^2/4 the sum is sum_k z^k (W[k] . E), where row k of W is weights *
+    c_k(2it), c_k the rows of _series_table.  E is separable,
+    E(mid[p] + off[j]) = E_mid[p] E_off[j], so W reshaped to ((K + 1) P, 16) times
+    E_off, contracted with E_mid, gives every W[k] . E: P + 16 complex exps per x
+    instead of 16 P, and one matrix product for the whole array.  The phase
+    arguments 2 log(x/2) mid and 2 log(x/2) off carry their rounding error
+    (_phases).  Every x takes the K(x) of the largest x, which only adds terms
+    below the series tolerance.
+
+    A caller that evaluates many x on one grid with fixed weights keeps table,
+    as in _j_series, and weighted, a list whose one element is W (start both as
+    []); W is rebuilt from the table when K passes its height.
+    """
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    if np.any(flat > ODE_X0):
+        raise ValueError(f"the weighted J-series needs x <= ODE_X0 = {ODE_X0}")
+    K = _series_terms(float(flat.max()))
     weighted = [] if weighted is None else weighted
     if not weighted or len(weighted[0]) <= K:
+        ts = (mid[:, None] + off).ravel()
         weighted[:] = [np.array(_series_table(2j * ts, K, table)) * weights]
-    v = (weighted[0][:K + 1] @ np.exp(ts * (2j * math.log(x / 2.0)))).tolist()
-    z = -x * x / 4.0
+    a = 2.0 * np.log(flat / 2.0)[:, None]
+    rows = weighted[0][:K + 1].reshape(-1, len(off)) @ _phases(a, off).T  # ((K + 1) P, len(x))
+    v = np.einsum("kpm,mp->km", rows.reshape(K + 1, len(mid), -1), _phases(a, mid))
+    z = -flat * flat / 4.0
     acc = v[K]
     for row in reversed(v[:K]):
         acc = acc * z + row
-    return acc
+    return complex(acc[0]) if xs.ndim == 0 else acc.reshape(xs.shape)
 
 
 def _taylor_step(x0: float, h: float, y: np.ndarray, yp: np.ndarray, t4: np.ndarray, m: int):

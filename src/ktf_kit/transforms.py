@@ -38,8 +38,9 @@ class TestFunction:
 
     family is one of gaussian (params: scale), spectral_window (params:
     center, width), polynomial_gaussian (params: even-power coefficients).
-    nonnegative marks h >= 0 on R and i(-1/2, 1/2), which the
-    equidistribution weights require.
+    Nothing here checks h >= 0 on R and i(-1/2, 1/2), which the
+    equidistribution weights require: polynomial_gaussian(0, 1) = t^2 e^{-t^2}
+    is -0.067 at t = i/4.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -47,7 +48,6 @@ class TestFunction:
     family: str
     params: tuple[float, ...]
     strip_halfwidth: float = 1.0
-    nonnegative: bool = True
 
     def __call__(self, t):
         t = np.asarray(t)
@@ -74,9 +74,7 @@ class TestFunction:
 
     @staticmethod
     def polynomial_gaussian(*coeffs: float) -> "TestFunction":
-        nonneg = all(c >= 0 for c in coeffs)
-        return TestFunction("polynomial_gaussian", tuple(float(c) for c in coeffs),
-                            nonnegative=nonneg)
+        return TestFunction("polynomial_gaussian", tuple(float(c) for c in coeffs))
 
     @staticmethod
     def parse(spec: str) -> "TestFunction":

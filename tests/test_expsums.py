@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import ktf_kit
 from ktf_kit import arith, expsums
 from ktf_kit.characters import DirichletCharacter, enumerate_characters, induce
 from ktf_kit.expsums import (
@@ -120,6 +125,41 @@ def test_table_cache_drops_the_largest_tables_first():
     assert cache(budget + 1) is not big
     cache(half - 1)  # a hit: the slot leaves the tables under the budget alone
     assert cache.cache_info() == (3, 7, budget, 3)
+
+
+def test_plan_cache_drops_the_oldest_plans_first():
+    # with maxsize the cache drops its oldest entry, not the largest: the
+    # newest plan, however large, survives the calls of its own key
+    budget = expsums._TABLE_BUDGET
+    cache = expsums._table_cache(lambda n, c: object(), residues=lambda n, c: c, maxsize=2)
+    a, b = cache(1, 3), cache(2, budget // 2)
+    c = cache(3, budget // 2)  # over the budget: (1, 3) is the oldest and goes first
+    assert cache(3, budget // 2) is c and cache(2, budget // 2) is b
+    assert cache.cache_info() == (2, 3, 2, 2)
+    assert cache(1, 3) is not a  # rebuilt; over the budget again, (2, budget / 2) goes
+    assert cache(3, budget // 2) is c and cache(2, budget // 2) is not b
+    cache.cache_clear()
+    assert cache.cache_info() == (0, 0, 2, 0)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS (Linux)")
+def test_twisted_sums_at_an_oversize_modulus_keep_one_plan():
+    # mod 1009^2 a character's values and its plan's conj(chi) weights are
+    # 16 MB each; both caches keep one such entry in their oversize slots, so
+    # three characters in a row stay at the first one's memory (152 MB,
+    # measured), where keeping every entry reached 216 MB
+    code = ("from ktf_kit.characters import character\n"
+            "from ktf_kit.expsums import twisted_kloosterman\n"
+            "q = 1009**2\n"
+            "for i in (1, 2, 3):\n"
+            "    twisted_kloosterman(1, 1, q, character(q, i))\n"
+            "print(*[line.split()[1] for line in open('/proc/self/status')\n"
+            "        if line.startswith('VmRSS:')])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert int(out.stdout) < 170 * 1024
 
 
 @pytest.mark.parametrize("c", [1, 2, 6, 12, 45, 60])

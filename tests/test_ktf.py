@@ -8,15 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ktf_kit
 from ktf_kit import arith
 from ktf_kit.characters import DirichletCharacter, character, enumerate_characters
 from ktf_kit.eisenstein import enumerate_basis, hurwitz_zeta
 from ktf_kit.ktf import (
+    _MIN_TERMS,
     _TAIL_WINDOW,
     KtfRequest,
     SpectralDatum,
+    _JIntegralCache,
     _continuous_t_grid,
     _jint_cache,
     classical_crosscheck,
@@ -146,6 +149,28 @@ def test_jint_series_range_matches_the_elementwise_sum():
         assert abs(jint(x) - ref) <= 5e-14 * np.sum(np.abs(hw))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(math.log(1e-12), math.log(12.0)).map(math.exp), min_size=1,
+                max_size=70))
+def test_jint_blocks_match_the_elementwise_sum(xs):
+    # one many() call on a fresh cache: its x share blocks per t-grid below
+    # x = 6 and take the ODE above; each value agrees with the sum of the
+    # elementwise J values on its own grid
+    jint = _JIntegralCache(H)
+    for x, v in zip(xs, jint.many(xs)):
+        ts, hw, *_ = jint._grid(x)
+        ref = 2j * np.sum(np.imag(j2it_values(ts, x)) * hw)
+        assert abs(v - ref) <= 5e-14 * np.sum(np.abs(hw)), x
+
+
+def test_geo_kloosterman_fetches_jint_in_blocks_of_the_minimum():
+    # Jint comes in blocks of the next _MIN_TERMS arguments, so at most one
+    # block's tail goes unused
+    _jint_cache.cache_clear()
+    k = geo_kloosterman(req_for(101, abs_tol=1e-6))[2]
+    assert k <= len(_jint_cache(H)._cache) < k + _MIN_TERMS
+
+
 @pytest.mark.parametrize("N, n, used", [
     (101, 1, 956), (101, 2, 989), (101, 4, 1338),
     (401, 1, 335), (401, 2, 368), (401, 4, 318),
@@ -199,7 +224,7 @@ def test_geo_kloosterman_memory_ceiling_at_level_7():
                          check=True, env=env)
     used, g2, peak_kib = out.stdout.split()
     assert int(used) == 11469
-    assert g2 == "(-0.03582509377007817-7.517806947631313e-17j)"
+    assert g2 == "(-0.03582509377007931-7.517806947631291e-17j)"
     assert int(peak_kib) < 100 * 1024
 
 
