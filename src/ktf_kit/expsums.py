@@ -103,13 +103,15 @@ def _phase(c: int) -> np.ndarray:
 _PLANS = 256
 
 
-@lru_cache(maxsize=_PLANS)
+@partial(_table_cache, residues=lambda n, c: c, maxsize=_PLANS)
 def _pairs(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     """All (x, x') in (Z/c)^2 with x*x' = n mod c, as two int64 arrays sorted by x.
 
     For each g | gcd(n, c) the x with gcd(x, c) = g are g x0 for the units x0
     mod c/g, and their x' are x0^-1 (n/g) + k c/g for k < g; a stable sort on x
-    merges the blocks.  So _pairs(1, q) is _units(q).
+    merges the blocks.  So _pairs(1, q) is _units(q).  Like _direct_plan, at most
+    _PLANS tables and _TABLE_BUDGET residues of c are kept, plus one table of a
+    larger c: mod 1009^2 a pair table is 16 MB.
     """
     if n % c == 1 % c:
         return _units(c)
@@ -256,6 +258,21 @@ def _kloosterman_direct(a: int, b: int, n: int, c: int, chi: DirichletCharacter)
     return complex((phases if vals is None else vals * phases).sum())
 
 
+@partial(_table_cache, residues=lambda q, chi, d: q)
+def _twisted_table(q: int, chi: DirichletCharacter, d: int) -> np.ndarray:
+    """S_chi(d, t; q) for t = 0..q-1, with chi mod q = p^ell and d = p^j, j <= ell.
+
+    Over the units y, S_chi(d, t; q) = sum_y conj(chi(y)) e(d y/q) e(t y^-1/q) is
+    the DFT of length q of F[y^-1] = conj(chi(y)) e(d y/q), so the table is
+    q ifft(F).  kloosterman_local reads every twisted factor of a modulus up to
+    _TABLE_BUDGET from these tables, at most _TABLE_BUDGET residues of them in all.
+    """
+    xs, inv = _pairs(1, q)
+    F = np.zeros(q, dtype=complex)
+    F[inv] = np.conj(_chi_values(chi)[xs]) * _phase(q)[d * xs % q]
+    return q * np.fft.ifft(F)
+
+
 @lru_cache(maxsize=None)
 def _local_component_cached(chi: DirichletCharacter, p: int, q: int) -> DirichletCharacter:
     return local_component(chi, p, q)
@@ -303,9 +320,14 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
     n = 1 (k = 0) gives the classical S(a, b; p^ell); an n that is not a
     power of p raises ValueError.
 
-    With a Dirichlet character the sum reduces to the twisted sum
-    S_chi(a, b p^k; p^ell).  With chi_p = None (constant one on Z/p^ell) the
-    closed forms for k < ell and k >= ell apply.
+    With a Dirichlet character chi_p mod p^ell the sum reduces to the twisted sum
+    S_chi(a, b p^k; p^ell).  With salie, salie_eval computes it; otherwise, up to
+    the modulus _TABLE_BUDGET, it is read from a table of _twisted_table: for
+    a = p^j w with w a unit (j = ell when a = 0 mod p^ell), x -> x/w gives
+    S_chi(a, b'; q) = chi(w) S_chi(p^j, b' w; q).  A larger modulus takes the
+    direct sum, since the transient memory of its inverse DFT (138 MB at
+    q = 10^6 + 3) would exceed that of the sums.  With chi_p = None (constant
+    one on Z/p^ell) the closed forms for k < ell and k >= ell apply.
     """
     fac = arith.factor(modulus).pairs
     if len(fac) != 1:
@@ -315,8 +337,16 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
         raise ValueError("n must be a power of the modulus prime")
     k = arith.ord_p(n, p) if n > 1 else 0
     if chi_p is not None:
-        return twisted_kloosterman(a, b * p**k, modulus, chi_p,
-                                   mode="salie" if salie else "direct")
+        if salie or modulus > _TABLE_BUDGET:
+            return twisted_kloosterman(a, b * n, modulus, chi_p,
+                                       mode="salie" if salie else "direct")
+        if chi_p.modulus != modulus:
+            raise ValueError("the local character must be defined mod the modulus")
+        a %= modulus
+        j = arith.ord_p(a, p) if a else ell
+        w = a // p**j if a else 1
+        return complex(_chi_values(chi_p)[w]
+                       * _twisted_table(modulus, chi_p, p**j)[b * n * w % modulus])
     # constant-one local factor
     ap = arith.ord_p(a, p) if a % modulus != 0 else ell
     bp = arith.ord_p(b, p) if b % modulus != 0 else ell

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import ktf_kit
 from ktf_kit import arith, expsums
-from ktf_kit.characters import DirichletCharacter, enumerate_characters, induce
+from ktf_kit.characters import DirichletCharacter, character, enumerate_characters, induce
 from ktf_kit.expsums import (
     KloostermanQuery,
     equivalence_scan,
@@ -142,24 +142,41 @@ def test_plan_cache_drops_the_oldest_plans_first():
     assert cache.cache_info() == (0, 0, 2, 0)
 
 
+def _vmrss_kib_after(code):
+    """VmRSS in KiB of a fresh process after it runs code, with a single-threaded BLAS."""
+    code += ("print(*[line.split()[1] for line in open('/proc/self/status')\n"
+             "        if line.startswith('VmRSS:')])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    return int(out.stdout)
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS (Linux)")
 def test_twisted_sums_at_an_oversize_modulus_keep_one_plan():
     # mod 1009^2 a character's values and its plan's conj(chi) weights are
     # 16 MB each; both caches keep one such entry in their oversize slots, so
     # three characters in a row stay at the first one's memory (152 MB,
     # measured), where keeping every entry reached 216 MB
-    code = ("from ktf_kit.characters import character\n"
-            "from ktf_kit.expsums import twisted_kloosterman\n"
-            "q = 1009**2\n"
-            "for i in (1, 2, 3):\n"
-            "    twisted_kloosterman(1, 1, q, character(q, i))\n"
-            "print(*[line.split()[1] for line in open('/proc/self/status')\n"
-            "        if line.startswith('VmRSS:')])\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(ktf_kit.__file__).parents[1]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert int(out.stdout) < 170 * 1024
+    assert _vmrss_kib_after("from ktf_kit.characters import character\n"
+                            "from ktf_kit.expsums import twisted_kloosterman\n"
+                            "q = 1009**2\n"
+                            "for i in (1, 2, 3):\n"
+                            "    twisted_kloosterman(1, 1, q, character(q, i))\n") < 170 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS (Linux)")
+def test_pair_tables_at_an_oversize_modulus_keep_one_table():
+    # mod 1009^2 the pair table of each n != 1 is 16 MB; the pair cache keeps
+    # one such table in its oversize slot, so five n in a row stay at 132 MB
+    # (measured), where keeping every table reached 202 MB
+    assert _vmrss_kib_after("from ktf_kit.characters import DirichletCharacter\n"
+                            "from ktf_kit.expsums import KloostermanQuery, kloosterman\n"
+                            "chi = DirichletCharacter.principal(1)\n"
+                            "for n in (2, 3, 5, 6, 7):\n"
+                            "    kloosterman(KloostermanQuery(1, 1, n, 1009**2, chi), 'direct')\n"
+                            ) < 150 * 1024
 
 
 @pytest.mark.parametrize("c", [1, 2, 6, 12, 45, 60])
@@ -275,6 +292,24 @@ def test_untwisted_local_factor_depends_on_uv_alone(q, k, u, v):
     assert abs(lhs - rhs) <= 1e-12 * q
 
 
+@PROPERTY
+@given(st.sampled_from(PRIME_POWERS), st.integers(0, 10**6), st.integers(0, 3**6),
+       st.integers(0, 3**6))
+@example(2**7, 5, 3, 9)            # p = 2
+@example(2**9, 1, 2**8 * 3, 0)     # p = 2, u = p^(ell-1) unit, v = 0
+@example(5**4, 3, 0, 17)           # u = 0
+@example(3**6, 7, 3**5 * 2, 11)    # u = p^(ell-1) unit
+@example(7**3, 2, 10, 0)           # v = 0
+def test_twisted_local_factor_reads_the_dft_table(q, i, u, v):
+    # a twisted factor S_chi(u, v; q), q = p^ell <= 3^6, is read from the table of
+    # S_chi(p^j, t; q) built by one inverse DFT; the direct sum is the oracle
+    chars = enumerate_characters(q)
+    chi = chars[i % len(chars)]
+    u, v = u % q, v % q
+    table = kloosterman_local(u, v, 1, q, chi)
+    assert abs(table - twisted_kloosterman(u, v, q, chi, "direct")) <= 1e-12 * q
+
+
 # ------------------------------------------------------------------ plans
 
 PLAN_CACHES = (expsums._direct_plan, expsums._local_plan, expsums._weil_plan)
@@ -340,8 +375,33 @@ def test_factored_route_builds_only_prime_power_unit_tables(monkeypatch):
         assert len(arith.factor(c).pairs) == 1 and n % c == 1, (n, c)
 
 
+def test_twisted_factors_of_a_prime_level_read_one_table(monkeypatch):
+    # at N = 401 every twisted local factor is S_chi(u, v; 401) with a unit u:
+    # all of them read the one table of S_chi(1, t; 401), and none takes a
+    # direct sum mod 401
+    from ktf_kit import ktf
+    _clear_plans()
+    moduli = []
+    plan = expsums._direct_plan
+    monkeypatch.setattr(expsums, "_direct_plan",
+                        lambda n, c, chi: moduli.append(c) or plan(n, c, chi))
+    ktf.geo_kloosterman(ktf.KtfRequest(401, DirichletCharacter.principal(401), 1, 1, 1, H_GAUSS))
+    assert 401 not in moduli
+    assert expsums._twisted_table.cache_info().misses == 1
+
+
+def test_twisted_factor_above_the_budget_is_the_direct_sum():
+    # a table mod 1009^2 > _TABLE_BUDGET would take more transient memory than
+    # the sums it replaces, so such a factor is the direct sum, bit for bit
+    q = 1009**2
+    chi = character(q, 1)
+    _clear_plans()
+    assert repr(kloosterman_local(5, 7, 1, q, chi)) == repr(twisted_kloosterman(5, 7, q, chi))
+    assert expsums._twisted_table.cache_info().misses == 0
+
+
 def _clear_plans():
-    for cache in (*PLAN_CACHES, kloosterman_local):
+    for cache in (*PLAN_CACHES, kloosterman_local, expsums._twisted_table):
         cache.cache_clear()
 
 

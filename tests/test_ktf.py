@@ -224,7 +224,7 @@ def test_geo_kloosterman_memory_ceiling_at_level_7():
                          check=True, env=env)
     used, g2, peak_kib = out.stdout.split()
     assert int(used) == 11469
-    assert g2 == "(-0.03582509377007931-7.517806947631291e-17j)"
+    assert g2 == "(-0.035825093770079565-1.5720361835014404e-16j)"
     assert int(peak_kib) < 100 * 1024
 
 
