@@ -142,7 +142,7 @@ def psi(n: int) -> int:
     return multiplicative_fn(n, "psi")
 
 
-def _primitive_root(p: int, k: int) -> int:
+def primitive_root(p: int, k: int) -> int:
     """Smallest primitive root of (Z/p^k)^* for odd p."""
     order = p - 1
     fac = [q for q, _ in factor(order)]
@@ -187,7 +187,7 @@ def unit_group(q: int) -> UnitGroupStructure:
         if k == 2:
             return UnitGroupStructure(4, 2, 2, (3,), (2,))
         return UnitGroupStructure(q, 2, k, (q - 1, 5), (2, 2 ** (k - 2)))
-    g = _primitive_root(p, k)
+    g = primitive_root(p, k)
     return UnitGroupStructure(q, p, k, (g,), (phi(q),))
 
 

@@ -99,7 +99,7 @@ def _phase(c: int) -> np.ndarray:
 # The plans and pair tables below hold the (a, b)-free work of a query, per
 # (n, c, chi) or (n, c).  Every caller walks (a, b) innermost for a fixed key, so a
 # key's calls come back to back and a small cache hits on all but the first; a
-# c-series asks each key once.
+# c-series asks each key once and builds its plans inline (kloosterman_moduli).
 _PLANS = 256
 
 
@@ -138,21 +138,40 @@ def _units(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Units x mod q in increasing order and their inverses, as two int64 arrays.
 
     This is the pair table _pairs(1, q), and every _pairs(n, c) is built from
-    these tables.  The units are np.arange(q) masked by the primes of q, and the
+    these tables.  For an odd prime power q the unit group is cyclic: the powers
+    g^i, i < phi(q), of the primitive root g are built by doubling, and
+    (g^i)^-1 = g^(phi(q) - i), so one scatter gives every inverse in O(q).  For
+    any other q the units are np.arange(q) masked by the primes of q, and the
     inverses are x^(phi(q) - 1) mod q by square-and-multiply on the whole array.
     Every product is below q^2, so the domain is q^2 < 2^63 (q <= 3037000499),
     and a larger q raises ValueError; the c-series stops after ktf._K_CAP = 1.5e6
     terms.  At most _TABLE_BUDGET = 2^19 residues are kept in all (8 MB), largest
-    moduli dropped first, plus the one oversize slot: _classical_kloosterman reads
-    these tables, not a plan, so the new modulus of each c-series term falls under
-    this budget.
+    moduli dropped first, plus the one oversize slot: _classical_kloosterman and
+    _prime_kloosterman read these tables, not a plan, so the new prime of each
+    c-series term falls under this budget.
     """
     if q == 1:
         return np.array([0]), np.array([0])
     if q > _INT64_SQRT:
         raise ValueError(f"unit table needs q^2 < 2^63, got q = {q}")
+    fac = arith.factor(q).pairs
+    if len(fac) == 1 and fac[0][0] > 2:
+        (p, e), = fac
+        m = q // p * (p - 1)
+        powers = np.empty(m, dtype=np.int64)
+        powers[0] = 1
+        n, g_n = 1, arith.primitive_root(p, e)   # g_n = g^n
+        while n < m:
+            step = min(n, m - n)
+            np.remainder(powers[:step] * g_n, q, out=powers[n:n + step])
+            n += step
+            g_n = g_n * g_n % q
+        inv = np.zeros(q, dtype=np.int64)
+        inv[powers] = np.roll(powers[::-1], 1)   # at g^i, g^(m - i), i = 0..m-1
+        xs = np.flatnonzero(inv)
+        return xs, inv[xs]
     mask = np.ones(q, dtype=bool)
-    for p in arith.factor(q).primes():
+    for p, _ in fac:
         mask[::p] = False
     xs = np.flatnonzero(mask)
     inv = np.ones_like(xs)
@@ -296,19 +315,106 @@ def _local_plan(n: int, c: int, chi: DirichletCharacter):
     return tuple(plan)
 
 
+def _local_args(a: int, b: int, p: int, q: int, ia: int, ib: int,
+                chi_p: DirichletCharacter | None) -> tuple[int, int]:
+    """(u, v) with S(u, v; p^k; q) the local factor at q of S_chi(a, b; n; c), as
+    kloosterman_local keys it: u = a ia and v = b ib mod q (see _local_plan).
+
+    S(u, v; p^k; q) = S(1, uv; p^k; q) for an untwisted factor with u a unit
+    (x -> x/u, x' -> u x'), so the untwisted factors of one uv share a cache entry.
+    """
+    u, v = a * ia % q, b * ib % q
+    if chi_p is None and u % p:
+        return 1, u * v % q
+    return u, v
+
+
 def _kloosterman_factored(a: int, b: int, n: int, c: int, chi: DirichletCharacter,
                           salie: bool) -> complex:
     total = 1.0 + 0j
     for p, q, ia, ib, pk, chi_p in _local_plan(n, c, chi):
-        u, v = a * ia % q, b * ib % q
-        if chi_p is None and u % p:
-            # S(u, v; p^k; q) = S(1, uv; p^k; q) for a unit u (x -> x/u, x' -> u x'),
-            # so the untwisted factors of one uv share a cache entry
-            u, v = 1, u * v % q
+        u, v = _local_args(a, b, p, q, ia, ib, chi_p)
         # the flag only selects a route for a twisted factor; an untwisted one
         # shares its cache entry with both modes
         total *= kloosterman_local(u, v, pk, q, chi_p, salie=salie and chi_p is not None)
     return complex(total)
+
+
+def kloosterman_moduli(a: int, b: int, n: int, cs, chi: DirichletCharacter) -> np.ndarray:
+    """S_chi(a, b; n; c) for each c of the ints cs, all multiples of N = chi.modulus,
+    by the factored route: the Kloosterman sums of one block of a c-series.
+
+    Each c = N k is factored from arith.factor(N) and arith.factor(k), and its
+    plan is built inline and not cached, since a c-series asks each c once: the
+    twisted factors at the p | N first, then the untwisted ones.  The local
+    factors go through kloosterman_local, keyed as in the scalar route
+    (_local_args), except the classical S(1, t; p) at odd primes p dividing
+    neither N, n nor c / p: those are deduplicated over the block and summed in
+    one pass (_prime_kloosterman).
+    """
+    if n == 0:
+        raise ValueError("n must be nonzero")
+    N = chi.modulus
+    level = arith.factor(N).pairs
+    n_parts = {p: p**e for p, e in arith.factor(abs(n))}
+    prime_sums: dict = {}   # (p, t) -> index into the one pass
+    values, pending = [], []
+    for c in cs:
+        k, r = divmod(c, N)
+        if r or k < 1:
+            raise ValueError("need chi modulus | c and c >= 1")
+        rest = dict(arith.factor(k).pairs)
+        total = 1.0 + 0j
+        fresh = []
+        for p, e in level:
+            q = p ** (e + rest.pop(p, 0))
+            chi_p = _local_component_cached(chi, p, q)
+            ia = pow(c // q % q, -1, q)
+            pk = n_parts.get(p, 1)
+            u, v = _local_args(a, b, p, q, ia, ia * (n // pk % q) % q, chi_p)
+            total *= kloosterman_local(u, v, pk, q, chi_p, salie=False)
+        for p, e in rest.items():
+            q = p**e
+            ia = pow(c // q % q, -1, q)
+            pk = n_parts.get(p, 1)
+            u, v = _local_args(a, b, p, q, ia, ia * (n // pk % q) % q, None)
+            if u == 1 and e == 1 and pk == 1 and p > 2:
+                fresh.append(prime_sums.setdefault((p, v), len(prime_sums)))
+            else:
+                total *= kloosterman_local(u, v, pk, q, None, salie=False)
+        values.append(total)
+        pending.append(fresh)
+    sums = _prime_kloosterman(list(prime_sums)).tolist()
+    for i, fresh in enumerate(pending):
+        for j in fresh:
+            values[i] *= sums[j]
+    return np.array(values, dtype=complex)
+
+
+def _prime_kloosterman(keys: list[tuple[int, int]]) -> np.ndarray:
+    """The classical S(1, t; p) for each (p, t) of keys, p an odd prime, in ragged
+    numpy passes over half unit tables; nothing is cached.
+
+    x <-> p - x conjugates the phase (x + t/x)/p, so the sum is real:
+    S(1, t; p) = 2 sum_{x < p/2} cos(2 pi (x + t/x)/p), for t = 0 too.  A pass
+    takes the keys whose half tables start within one _TABLE_BUDGET of residues,
+    so its arrays stay near 4 MB each however large the primes of a block: at
+    the term cap of a small level they reach 1.5e6.
+    """
+    ps, ts = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    halves = (ps - 1) // 2
+    passes = (np.cumsum(halves) - halves) // _TABLE_BUDGET
+    edges = [0, *(np.flatnonzero(np.diff(passes)) + 1).tolist(), len(keys)]
+    sums = np.zeros(len(keys))
+    for sel in (slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo):
+        p, h = ps[sel], halves[sel]
+        tables = [_units(q) for q in p.tolist()]
+        x = np.concatenate([xs[:n] for (xs, _), n in zip(tables, h)])
+        x_inv = np.concatenate([inv[:n] for (_, inv), n in zip(tables, h)])
+        P = np.repeat(p, h)
+        cosines = np.cos(2 * np.pi * ((x + np.repeat(ts[sel], h) * x_inv) % P) / P)
+        sums[sel] = 2 * np.add.reduceat(cosines, np.cumsum(h) - h)
+    return sums
 
 
 @lru_cache(maxsize=400000)
@@ -379,8 +485,9 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
 def _classical_kloosterman(a: int, b: int, q: int) -> complex:
     """S(a, b; q) over units, principal character.
 
-    Not cached: kloosterman_local caches the local factors that call it, and a
-    c-series seldom asks for the same S(a, b; q) twice.
+    Not cached: kloosterman_local caches the local factors that call it.  A
+    c-series takes its S(1, t; p) at odd primes p || c not dividing N n from
+    _prime_kloosterman instead (see kloosterman_moduli).
     """
     if q == 1:
         return 1.0 + 0j

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +34,10 @@ from .eisenstein import (
     lambda_n_eis,
     sigma_s,
 )
-from .expsums import KloostermanQuery, kloosterman
+from .expsums import (
+    kloosterman,  # noqa: F401  not called here; bench/tracer.py wraps it as the Kloosterman layer
+    kloosterman_moduli,
+)
 from .specfun import (
     ODE_X0,
     gl_integrate,
@@ -159,6 +162,9 @@ def geo_main(req: KtfRequest) -> complex:
 # the Bessel integral over the spectral parameter
 
 
+_JINT_VALUES = 1 << 16  # Jint values kept per h: about 9 MB at 144 bytes a value
+
+
 class _JIntegralCache:
     """Jint(x) = int_R J_{2it}(x) h(t) t / cosh(pi t) dt on t-grids per h.
 
@@ -168,12 +174,15 @@ class _JIntegralCache:
     of the largest x seen), those rows times the integrand's weights (see
     specfun.j2it_weighted_series), through which the x <= ODE_X0 of one call
     cost one matrix product, and its ODE checkpoint path (see
-    specfun._j2it_ode_extend) for every x above ODE_X0."""
+    specfun._j2it_ode_extend) for every x above ODE_X0.  At most _JINT_VALUES
+    values are kept, the oldest dropped first: a c-series reads each of its
+    arguments once, and only requests with the same n m1 m2 and
+    classical_crosscheck read them again."""
 
     def __init__(self, h: TestFunction):
         self.h = h
         self.T = get_pipeline(h).T
-        self._cache: dict[float, complex] = {}
+        self._cache: OrderedDict[float, complex] = OrderedDict()
         self._grids: dict[int, tuple] = {}
 
     def _panels(self, x: float) -> int:
@@ -194,21 +203,26 @@ class _JIntegralCache:
     def many(self, xs) -> list[complex]:
         """Jint at each x of xs.  The new x <= ODE_X0 of one t-grid are one
         j2it_weighted_series call; each new x above it is one j2it_values call."""
-        by_grid: dict[int, list[float]] = {}
+        values, by_grid = {}, {}
         for x in dict.fromkeys(xs):
-            if x not in self._cache:
+            if x in self._cache:
+                values[x] = self._cache[x]
+            else:
                 by_grid.setdefault(self._panels(x), []).append(x)
         for group in by_grid.values():
             ts, hw, mid, off, table, weighted, path = self._grid(group[0])
             series = [x for x in group if x <= ODE_X0]
             if series:
                 sums = j2it_weighted_series(mid, off, hw, np.array(series), table, weighted)
-                self._cache.update(zip(series, (2j * sums.imag).tolist()))
+                values.update(zip(series, (2j * sums.imag).tolist()))
             for x in group:
                 if x > ODE_X0:
                     s = np.sum(np.imag(j2it_values(ts, x, table=table, path=path)) * hw)
-                    self._cache[x] = complex(2j * s)
-        return [self._cache[x] for x in xs]
+                    values[x] = complex(2j * s)
+            self._cache.update((x, values[x]) for x in group)
+        while len(self._cache) > _JINT_VALUES:
+            self._cache.popitem(last=False)
+        return [values[x] for x in xs]
 
     def __call__(self, x: float) -> complex:
         return self.many([x])[0]
@@ -226,11 +240,11 @@ _K_CAP = 1_500_000  # the c-series raises ArithmeticError past this many terms
 _MIN_TERMS = 64  # the c-series never stops before this many terms
 
 
-def _c_term(req: KtfRequest, c: int, jint: complex, scale: complex) -> complex:
-    """scale S(m2,m1;n;c)/c jint, one term of the c-series, jint its Jint value;
-    scale = 2i psi(N)/pi."""
-    S = kloosterman(KloostermanQuery(req.m2 % c, req.m1 % c, req.n, c, req.omega), "factored")
-    return scale * S / c * jint
+def _c_terms(req: KtfRequest, cs: list[int], jints: list[complex]) -> np.ndarray:
+    """(2i psi(N)/pi) S(m2,m1;n;c)/c Jint, the c-series terms at the moduli cs of
+    one block, jints their Jint values."""
+    S = kloosterman_moduli(req.m2, req.m1, req.n, cs, req.omega)
+    return 2j * arith.psi(req.N) / math.pi * S / np.array(cs, dtype=float) * np.array(jints)
 
 
 def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
@@ -242,42 +256,55 @@ def geo_kloosterman(req: KtfRequest, return_terms: bool = False):
     abs_tol * psi(N); that spread is reported as tail_bound.  It is an
     estimate of the truncation error, not a bound: at small N the error left
     past the window can be larger (for gaussian:1 the terms fall like
-    c^{-3/2}).  The Jint values come in blocks of the next _MIN_TERMS
-    arguments, one _JIntegralCache.many call each.
+    c^{-3/2}).  The terms come in blocks of the next _MIN_TERMS moduli: one
+    _JIntegralCache.many and one kloosterman_moduli call each, the partial
+    sums a cumulative sum from the running total and the window spreads one
+    (block x _TAIL_WINDOW) array.  The series stops at the first k >= _MIN_TERMS
+    whose spread is below abs_tol psi(N) / 2, and raises after _K_CAP terms.
     """
     jint = _jint_cache(req.h)
     A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
-    scale = 2j * arith.psi(req.N) / math.pi
     tol_c = req.abs_tol * arith.psi(req.N)
     half_tol = tol_c / 2
     total = 0j
     terms = []
-    history: deque[complex] = deque(maxlen=_TAIL_WINDOW)
+    recent = np.zeros(0, dtype=complex)  # the last _TAIL_WINDOW partial sums
+    lags = np.arange(_TAIL_WINDOW)
     k = 0
+
+    def tail() -> float:
+        return max(abs(t0 - total) for t0 in recent.tolist())
+
     while True:
-        k += 1
-        c = k * req.N
-        if k > _K_CAP:
-            if k <= _MIN_TERMS:
-                why = f"{k - 1} terms summed, below the {_MIN_TERMS}-term minimum"
+        m = min(_MIN_TERMS, _K_CAP - k)
+        if m == 0:
+            if k < _MIN_TERMS:
+                why = f"{k} terms summed, below the {_MIN_TERMS}-term minimum"
             else:
-                tail = max(abs(t0 - total) for t0 in history)
-                why = f"partial-sum spread {tail:.3e} above tolerance {tol_c:.3e}"
+                why = f"partial-sum spread {tail():.3e} above tolerance {tol_c:.3e}"
             raise ArithmeticError(f"c-sum not converged in {_K_CAP} terms: {why}")
-        if (k - 1) % _MIN_TERMS == 0:  # the Jint of the next _MIN_TERMS terms in one call
-            block = jint.many([A / (j * req.N) for j in range(k, k + _MIN_TERMS)])
-        term = _c_term(req, c, block[(k - 1) % _MIN_TERMS], scale)
-        total += term
+        ks = np.arange(k + 1, k + m + 1)
+        cs = (ks * req.N).tolist()
+        block = _c_terms(req, cs, jint.many([A / c for c in cs]))
+        partial = np.cumsum(np.concatenate(([total], block)))[1:]
+        seq = np.concatenate((recent, partial))
+        # the window of block term i ends at seq[len(recent) + i]; indices below 0
+        # occur only in the first block, at k < _TAIL_WINDOW, which cannot stop
+        rows = np.maximum(len(recent) + np.arange(m)[:, None] - lags, 0)
+        spread = np.abs(seq[rows] - partial[:, None]).max(axis=1)
+        stops = np.flatnonzero((spread < half_tol) & (ks >= _MIN_TERMS))
+        used = int(stops[0]) + 1 if stops.size else m
         if return_terms:
-            terms.append((c, term))
-        history.append(total)
-        # one partial sum at distance >= half_tol already means "not converged"
-        if k >= _MIN_TERMS and all(abs(t0 - total) < half_tol for t0 in history):
+            terms.extend(zip(cs[:used], block[:used].tolist()))
+        k += used
+        total = complex(partial[used - 1])
+        end = len(recent) + used
+        recent = seq[max(0, end - _TAIL_WINDOW):end]
+        if stops.size:
             break
-    tail = max(abs(t0 - total) for t0 in history)
     if return_terms:
-        return total, tail, k, terms
-    return total, tail, k
+        return total, tail(), k, terms
+    return total, tail(), k
 
 
 # ----------------------------------------------------------------------------
@@ -379,10 +406,12 @@ def classical_crosscheck(req: KtfRequest, k_terms: int = 40) -> dict[str, float]
     A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
 
     def terms(r: KtfRequest, ell: int) -> tuple[complex, complex, complex]:
-        scale = 2j * arith.psi(r.N) / math.pi
-        cs = range(r.N, C // ell + 1, r.N)
-        jints = jint.many([A / (ell * c) for c in cs])
-        kloos = sum((_c_term(r, c, j, scale) for c, j in zip(cs, jints)), 0j)
+        cs = list(range(r.N, C // ell + 1, r.N))
+        kloos = 0j
+        for i in range(0, len(cs), _MIN_TERMS):
+            block = cs[i:i + _MIN_TERMS]
+            jints = jint.many([A / (ell * c) for c in block])
+            kloos = sum(_c_terms(r, block, jints).tolist(), kloos)
         return geo_main(r), kloos, spec_continuous(r)[0]
 
     direct = terms(req, 1)

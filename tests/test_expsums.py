@@ -19,6 +19,7 @@ from ktf_kit.expsums import (
     gauss_sum,
     kloosterman,
     kloosterman_local,
+    kloosterman_moduli,
     p3_witness,
     quad_solution_count,
     s3_symmetry,
@@ -398,6 +399,72 @@ def test_twisted_factor_above_the_budget_is_the_direct_sum():
     _clear_plans()
     assert repr(kloosterman_local(5, 7, 1, q, chi)) == repr(twisted_kloosterman(5, 7, q, chi))
     assert expsums._twisted_table.cache_info().misses == 0
+
+
+@st.composite
+def moduli_blocks(draw):
+    """A character mod N <= 60 and a block of moduli c = N k, k <= 40."""
+    N = draw(st.integers(1, 60))
+    chi = draw(st.sampled_from(enumerate_characters(N)))
+    ks = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    return chi, [N * k for k in ks]
+
+
+@PROPERTY
+@given(moduli_blocks(), st.integers(1, 12), st.integers(-60, 60), st.integers(-60, 60))
+@example((character(3, 0), [6, 12, 24, 96]), 1, 1, 1)       # p = 2, 2^e || c
+@example((character(5, 2), [15, 30, 45]), 3, 2, 1)           # p = 3 divides n and c
+@example((character(7, 0), [63, 175, 343, 7]), 1, 1, 2)      # p^2 | k: 3^2, 5^2, 7^2
+@example((character(12, 3), [24, 36, 72, 12]), 5, 7, 1)      # p | gcd(N, k), p = 2, 3
+@example((character(7, 1), [7, 21, 77, 91, 187 * 7]), 2, 3, 5)   # an odd non-principal chi
+@example((character(5, 0), [5, 15, 35]), 1, 0, 1)            # a = 0: no unit u
+@example((character(5, 0), [15, 35, 55]), 1, 1, 0)           # b = 0: t = 0 mod p
+def test_kloosterman_moduli_matches_direct_and_factored(block, n, a, b):
+    # the block route agrees with the direct oracle and, to rounding, with the
+    # scalar factored route at every modulus of the block
+    chi, cs = block
+    values = kloosterman_moduli(a, b, n, cs, chi)
+    assert values.shape == (len(cs),)
+    for c, v in zip(cs, values):
+        q = KloostermanQuery(a % c, b % c, n, c, chi)
+        assert abs(v - kloosterman(q, "direct")) <= 1e-9, c
+        assert abs(v - kloosterman(q, "factored")) <= 1e-12 * c, c
+
+
+def test_kloosterman_moduli_rejects_a_modulus_off_the_level():
+    with pytest.raises(ValueError):
+        kloosterman_moduli(1, 1, 1, [12, 14], character(4, 0))
+    with pytest.raises(ValueError):
+        kloosterman_moduli(1, 1, 0, [12], character(4, 0))
+
+
+def test_prime_sums_are_the_classical_sums_in_passes_of_any_size(monkeypatch):
+    # the half-sum identity holds at every t, t = 0 included; a budget of 40
+    # residues splits the keys into several passes with the same sums
+    keys = [(p, t) for p in (3, 5, 7, 11, 13, 101, 1009) for t in (0, 1, 2, p - 1)]
+    whole = expsums._prime_kloosterman(keys)
+    for (p, t), v in zip(keys, whole):
+        assert abs(v - expsums._classical_kloosterman(1, t, p)) <= 1e-12 * p
+    monkeypatch.setattr(expsums, "_TABLE_BUDGET", 40)
+    assert expsums._prime_kloosterman(keys).tolist() == whole.tolist()
+    assert expsums._prime_kloosterman([]).shape == (0,)
+
+
+def test_c_series_sums_fresh_prime_factors_in_one_pass(monkeypatch):
+    # the classical S(1, t; p) at odd primes p not dividing N n are summed by
+    # _prime_kloosterman; no report at N = 401 takes _classical_kloosterman there
+    from ktf_kit import ktf
+    _clear_plans()
+    moduli, keys = [], []
+    classical, prime_pass = expsums._classical_kloosterman, expsums._prime_kloosterman
+    monkeypatch.setattr(expsums, "_classical_kloosterman",
+                        lambda a, b, q: moduli.append(q) or classical(a, b, q))
+    monkeypatch.setattr(expsums, "_prime_kloosterman",
+                        lambda ks: keys.extend(ks) or prime_pass(ks))
+    ktf.cuspidal_inferred(ktf.KtfRequest(401, DirichletCharacter.principal(401), 1, 1, 1,
+                                         H_GAUSS))
+    assert len(keys) > 100
+    assert [q for q in moduli if q > 2 and arith.is_prime(q)] == []
 
 
 def _clear_plans():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import ktf_kit
 from ktf_kit import arith
 from ktf_kit.characters import DirichletCharacter, character, enumerate_characters
 from ktf_kit.eisenstein import enumerate_basis, hurwitz_zeta
+from ktf_kit.expsums import KloostermanQuery, kloosterman
 from ktf_kit.ktf import (
     _MIN_TERMS,
     _TAIL_WINDOW,
@@ -171,6 +173,76 @@ def test_geo_kloosterman_fetches_jint_in_blocks_of_the_minimum():
     assert k <= len(_jint_cache(H)._cache) < k + _MIN_TERMS
 
 
+def test_jint_cache_keeps_at_most_its_bound(monkeypatch):
+    # the values kept per h are bounded, the oldest dropped first; a series
+    # longer than the bound sums the same terms, and a call that evicts its own
+    # values still returns them
+    from ktf_kit import ktf
+    req = req_for(101, abs_tol=1e-6)
+    xs = [0.01 * j for j in range(1, 301)]
+    _jint_cache.cache_clear()
+    ref, ref_xs = geo_kloosterman(req), _JIntegralCache(H).many(xs)
+    monkeypatch.setattr(ktf, "_JINT_VALUES", 256)
+    _jint_cache.cache_clear()
+    assert geo_kloosterman(req) == ref and ref[2] > 256
+    assert len(_jint_cache(H)._cache) == 256
+    fresh = _JIntegralCache(H)
+    assert fresh.many(xs) == ref_xs
+    assert list(fresh._cache) == xs[-256:]
+
+
+def _reference_series(req, cap=None):
+    """The c-series term by term: one scalar factored Kloosterman sum per c, Jint
+    in blocks of the next _MIN_TERMS arguments and a deque of the last
+    _TAIL_WINDOW partial sums; (total, spread, k) where it stops, or after cap terms."""
+    jint = _jint_cache(req.h)
+    A = 4.0 * math.pi * math.sqrt(req.n * req.m1 * req.m2)
+    scale = 2j * arith.psi(req.N) / math.pi
+    half_tol = req.abs_tol * arith.psi(req.N) / 2
+    total, history, k = 0j, deque(maxlen=_TAIL_WINDOW), 0
+    while True:
+        k += 1
+        c = k * req.N
+        if (k - 1) % _MIN_TERMS == 0:
+            block = jint.many([A / (j * req.N) for j in range(k, k + _MIN_TERMS)])
+        S = kloosterman(KloostermanQuery(req.m2 % c, req.m1 % c, req.n, c, req.omega), "factored")
+        total += scale * S / c * block[(k - 1) % _MIN_TERMS]
+        history.append(total)
+        spread = max(abs(t0 - total) for t0 in history)
+        if (k >= _MIN_TERMS and spread < half_tol) or k == cap:
+            return total, spread, k
+
+
+@pytest.mark.parametrize("N", [13, 101])
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("principal", [True, False])
+def test_geo_kloosterman_matches_the_term_by_term_series(N, n, principal):
+    # the blocks of kloosterman_moduli, cumulative sums and window spreads sum
+    # the same series as the scalar route term by term, and stop at the same k
+    omega = DirichletCharacter.principal(N) if principal else next(
+        c for c in enumerate_characters(N) if not c.is_principal() and c.parity() == 1)
+    req = req_for(N, n=n, omega=omega, abs_tol=1e-6)
+    total, tail, k = geo_kloosterman(req)
+    ref_total, ref_tail, ref_k = _reference_series(req)
+    assert k == ref_k
+    assert abs(total - ref_total) <= 1e-14 * arith.psi(N)
+    assert abs(tail - ref_tail) <= 1e-14 * arith.psi(N)
+
+
+def test_c_series_cap_is_checked_term_by_term(monkeypatch):
+    # a cap that is not a multiple of the block still stops after exactly that
+    # many terms, with the spread of their last _TAIL_WINDOW partial sums
+    from ktf_kit import ktf
+    req = req_for(7, abs_tol=1e-6)
+    _jint_cache.cache_clear()
+    spread = _reference_series(req, cap=100)[1]
+    monkeypatch.setattr(ktf, "_K_CAP", 100)
+    with pytest.raises(ArithmeticError) as exc:
+        geo_kloosterman(req)
+    assert str(exc.value) == (f"c-sum not converged in 100 terms: partial-sum spread "
+                              f"{spread:.3e} above tolerance {1e-6 * arith.psi(7):.3e}")
+
+
 @pytest.mark.parametrize("N, n, used", [
     (101, 1, 956), (101, 2, 989), (101, 4, 1338),
     (401, 1, 335), (401, 2, 368), (401, 4, 318),
@@ -224,7 +296,7 @@ def test_geo_kloosterman_memory_ceiling_at_level_7():
                          check=True, env=env)
     used, g2, peak_kib = out.stdout.split()
     assert int(used) == 11469
-    assert g2 == "(-0.035825093770079565-1.5720361835014404e-16j)"
+    assert g2 == "(-0.035825093770079405-1.1727643645417917e-16j)"
     assert int(peak_kib) < 100 * 1024
 
 
@@ -357,10 +429,12 @@ def test_classical_crosscheck_nontrivial_omega():
 
 def test_classical_crosscheck_shares_jint_arguments():
     # the ell = 2 term at c is the direct term at 2c, so both sides read one
-    # Jint argument per c <= 24 N
+    # Jint argument per c <= k_terms N, over every block of _MIN_TERMS moduli
     _jint_cache.cache_clear()
     classical_crosscheck(req_for(5, n=4, m1=6, m2=1), k_terms=24)
     assert len(_jint_cache(H)._cache) == 24
+    classical_crosscheck(req_for(5, n=4, m1=6, m2=1), k_terms=150)
+    assert len(_jint_cache(H)._cache) == 150
 
 
 def test_hecke_sigma_identity_random():
