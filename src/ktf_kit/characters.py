@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -156,39 +155,6 @@ class DirichletCharacter:
                  for p, vec in self.exponents]
         return f"chi[{self.modulus}|{self.conductor}|" + ";".join(parts) + "]"
 
-    def to_json(self) -> str:
-        obj = {
-            "modulus": self.modulus,
-            "conductor": self.conductor,
-            "exponents": [[p, arith.ord_p(self.modulus, p), list(vec)]
-                          for p, vec in self.exponents],
-        }
-        return json.dumps(obj)
-
-    @staticmethod
-    def from_json(text: str) -> "DirichletCharacter":
-        """Inverse of to_json; ValueError unless the data is canonical.
-
-        The entries must list the prime powers of the modulus in order, each
-        exponent in [0, order) of its generator.
-        """
-        obj = json.loads(text)
-        N, entries = obj["modulus"], obj["exponents"]
-        if not isinstance(N, int) or N < 1:
-            raise ValueError(f"modulus must be a positive integer, got {N!r}")
-        if [(p, k) for p, k, _vec in entries] != list(arith.factor(N).pairs):
-            raise ValueError(f"exponent data {entries} does not match the prime powers of {N}")
-        for p, k, vec in entries:
-            orders = arith.unit_group(p**k).orders
-            if len(vec) != len(orders) or not all(
-                    isinstance(e, int) and 0 <= e < o for e, o in zip(vec, orders)):
-                raise ValueError(f"exponents {vec} mod {p}^{k} outside [0, order) "
-                                 f"for generator orders {orders}")
-        chi = DirichletCharacter(N, tuple((p, tuple(vec)) for p, _k, vec in entries))
-        if chi.conductor != obj["conductor"]:
-            raise ValueError("conductor mismatch in serialized character")
-        return chi
-
 
 _CHARACTER_PLANS = 4096  # one plan per distinct (modulus, exponents); a plan holds no table
 
@@ -295,7 +261,8 @@ def local_component(chi: DirichletCharacter, p: int, M: int | None = None) -> Di
         raise ValueError(f"M = {M} is not a power of p = {p}")
     if q == 1:
         return DirichletCharacter.principal(M)
-    return induce(DirichletCharacter(q, ((p, chi._vec(p)),)), M)
+    chi_q = DirichletCharacter(q, ((p, chi._vec(p)),))
+    return chi_q if M == q else induce(chi_q, M)
 
 
 @dataclass(frozen=True)

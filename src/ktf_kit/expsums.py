@@ -248,7 +248,7 @@ def kloosterman(q: KloostermanQuery, mode: str = "direct") -> complex:
     if mode == "direct":
         return _kloosterman_direct(q.a, q.b, q.n, q.c, q.chi)
     if mode in ("factored", "salie"):
-        return _kloosterman_factored(q.a, q.b, q.n, q.c, q.chi, salie=(mode == "salie"))
+        return _kloosterman_factored(q.a, q.b, q.n, q.c, q.chi, mode == "salie")
     raise ValueError(f"unknown kloosterman mode {mode!r}")
 
 
@@ -267,14 +267,18 @@ def _direct_plan(n: int, c: int, chi: DirichletCharacter):
 
 
 def _kloosterman_direct(a: int, b: int, n: int, c: int, chi: DirichletCharacter) -> complex:
+    """The oracle: the sum over the pairs of _direct_plan, one dot product of the
+    weights and the phases.  a and b are reduced mod c first, so the index
+    a X + b X' < 2 c^2 cannot wrap in int64 at any c whose pair table fits in
+    memory, however large a and b are."""
     if c == 1:
         return 1.0 + 0j
     vals, X, XP = _direct_plan(n, c, chi)
-    idx = a * X  # in place: at c ~ 10^6 each fresh temporary is paged in anew per call
-    idx += b * XP
+    idx = a % c * X  # in place: at c ~ 10^6 each fresh temporary is paged in anew per call
+    idx += b % c * XP
     idx %= c
     phases = _phase(c)[idx]
-    return complex((phases if vals is None else vals * phases).sum())
+    return complex(np.add.reduce(phases) if vals is None else vals.dot(phases))
 
 
 @partial(_table_cache, residues=lambda q, chi, d: q)
@@ -299,19 +303,27 @@ def _local_component_cached(chi: DirichletCharacter, p: int, q: int) -> Dirichle
 
 @lru_cache(maxsize=_PLANS)
 def _local_plan(n: int, c: int, chi: DirichletCharacter):
-    """One entry per q = p^e || c: (p, q, ia, ib, p^k, chi_p), with p^k || n.
+    """One entry per q = p^e || c: (p, q, ia, ib, p^k, chi_p, salie_p), with p^k || n.
 
     ia = (c/q)^-1 mod q and ib = ia (n/p^k) mod q, so the local factor at q of
     S_chi(a, b; n; c) is S(a ia, b ib; p^k; q) twisted by chi_p, the p-part of
-    chi (None when p does not divide N).
+    chi, or untwisted (chi_p = None) when p does not divide N.  A principal
+    chi_p at a p not dividing n is None too: x x' = n makes every x a unit mod
+    q, where chi_p is 1, so the factor is the untwisted one and shares its
+    cache entry.  With p | n it stays twisted, since it drops the x divisible
+    by p that the untwisted sum keeps.  salie_p says whether the Salie route
+    takes its own entry: only a twisted factor at e >= 2 has a stationary-phase
+    form (see kloosterman_local).
     """
     plan = []
     for p, e in arith.factor(c):
         q = p**e
         ia = arith.inv_mod(c // q % q, q)
         pk = p ** arith.ord_p(n, p)
-        chi_p = _local_component_cached(chi, p, q) if chi.modulus % p == 0 else None
-        plan.append((p, q, ia, ia * (n // pk % q) % q, pk, chi_p))
+        # chi_p is principal exactly when p does not divide the conductor of chi
+        twisted = chi.modulus % p == 0 and (pk > 1 or chi.conductor % p == 0)
+        chi_p = _local_component_cached(chi, p, q) if twisted else None
+        plan.append((p, q, ia, ia * (n // pk % q) % q, pk, chi_p, twisted and e > 1))
     return tuple(plan)
 
 
@@ -332,11 +344,13 @@ def _local_args(a: int, b: int, p: int, q: int, ia: int, ib: int,
 def _kloosterman_factored(a: int, b: int, n: int, c: int, chi: DirichletCharacter,
                           salie: bool) -> complex:
     total = 1.0 + 0j
-    for p, q, ia, ib, pk, chi_p in _local_plan(n, c, chi):
+    for p, q, ia, ib, pk, chi_p, salie_p in _local_plan(n, c, chi):
         u, v = _local_args(a, b, p, q, ia, ib, chi_p)
-        # the flag only selects a route for a twisted factor; an untwisted one
-        # shares its cache entry with both modes
-        total *= kloosterman_local(u, v, pk, q, chi_p, salie=salie and chi_p is not None)
+        # the flag selects a route only for a twisted factor at q = p^ell, ell >= 2;
+        # every other factor shares its cache entry with both modes.  Every call
+        # passes the flag positionally, as the lru keys f(.., False) and
+        # f(.., salie=False) apart (tests/test_lint.py)
+        total *= kloosterman_local(u, v, pk, q, chi_p, salie and salie_p)
     return complex(total)
 
 
@@ -372,7 +386,7 @@ def kloosterman_moduli(a: int, b: int, n: int, cs, chi: DirichletCharacter) -> n
             ia = pow(c // q % q, -1, q)
             pk = n_parts.get(p, 1)
             u, v = _local_args(a, b, p, q, ia, ia * (n // pk % q) % q, chi_p)
-            total *= kloosterman_local(u, v, pk, q, chi_p, salie=False)
+            total *= kloosterman_local(u, v, pk, q, chi_p, False)
         for p, e in rest.items():
             q = p**e
             ia = pow(c // q % q, -1, q)
@@ -381,7 +395,7 @@ def kloosterman_moduli(a: int, b: int, n: int, cs, chi: DirichletCharacter) -> n
             if u == 1 and e == 1 and pk == 1 and p > 2:
                 fresh.append(prime_sums.setdefault((p, v), len(prime_sums)))
             else:
-                total *= kloosterman_local(u, v, pk, q, None, salie=False)
+                total *= kloosterman_local(u, v, pk, q, None, False)
         values.append(total)
         pending.append(fresh)
     sums = _prime_kloosterman(list(prime_sums)).tolist()
@@ -427,13 +441,18 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
     power of p raises ValueError.
 
     With a Dirichlet character chi_p mod p^ell the sum reduces to the twisted sum
-    S_chi(a, b p^k; p^ell).  With salie, salie_eval computes it; otherwise, up to
-    the modulus _TABLE_BUDGET, it is read from a table of _twisted_table: for
+    S_chi(a, b p^k; p^ell).  The salie flag selects its stationary-phase
+    evaluation (salie_eval) at ell >= 2 and nothing else: at ell = 1 there is
+    none, and an untwisted factor has closed forms.  Otherwise, up to the
+    modulus _TABLE_BUDGET, the sum is read from a table of _twisted_table: for
     a = p^j w with w a unit (j = ell when a = 0 mod p^ell), x -> x/w gives
     S_chi(a, b'; q) = chi(w) S_chi(p^j, b' w; q).  A larger modulus takes the
     direct sum, since the transient memory of its inverse DFT (138 MB at
     q = 10^6 + 3) would exceed that of the sums.  With chi_p = None (constant
-    one on Z/p^ell) the closed forms for k < ell and k >= ell apply.
+    one on Z/p^ell) the closed forms for k < ell and k >= ell apply, to any a
+    and b, which are reduced mod p^ell.  The lru keys a flag the caller could
+    have left False apart, so the scalar route passes it only where it selects
+    something (_local_plan).
     """
     fac = arith.factor(modulus).pairs
     if len(fac) != 1:
@@ -443,9 +462,10 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
         raise ValueError("n must be a power of the modulus prime")
     k = arith.ord_p(n, p) if n > 1 else 0
     if chi_p is not None:
-        if salie or modulus > _TABLE_BUDGET:
-            return twisted_kloosterman(a, b * n, modulus, chi_p,
-                                       mode="salie" if salie else "direct")
+        if salie and ell > 1:
+            return salie_eval(a, b * n, modulus, chi_p)
+        if modulus > _TABLE_BUDGET:
+            return twisted_kloosterman(a, b * n, modulus, chi_p)
         if chi_p.modulus != modulus:
             raise ValueError("the local character must be defined mod the modulus")
         a %= modulus
@@ -454,8 +474,9 @@ def kloosterman_local(a: int, b: int, n: int, modulus: int, chi_p: DirichletChar
         return complex(_chi_values(chi_p)[w]
                        * _twisted_table(modulus, chi_p, p**j)[b * n * w % modulus])
     # constant-one local factor
-    ap = arith.ord_p(a, p) if a % modulus != 0 else ell
-    bp = arith.ord_p(b, p) if b % modulus != 0 else ell
+    a, b = a % modulus, b % modulus
+    ap = arith.ord_p(a, p) if a else ell
+    bp = arith.ord_p(b, p) if b else ell
     if k < ell:
         if k > min(ap, k) + min(bp, k):
             return 0j
@@ -512,8 +533,10 @@ def twisted_kloosterman(a: int, b: int, q: int, chi: DirichletCharacter,
 # Salie / stationary-phase evaluation
 
 
+@lru_cache(maxsize=_PLANS)
 def _salie_B_even(chi: DirichletCharacter, p: int, alpha: int) -> int:
-    """B with conj(chi(1 + z p^alpha)) = e(Bz / p^alpha), ell = 2 alpha."""
+    """B with conj(chi(1 + z p^alpha)) = e(Bz / p^alpha), ell = 2 alpha; cached, as
+    every query twisted by chi mod p^ell shares it."""
     lam = arith.carmichael(chi.modulus)
     B, rem = divmod(-chi.angle(1 + p**alpha) % lam * p**alpha, lam)
     if rem:
@@ -521,6 +544,7 @@ def _salie_B_even(chi: DirichletCharacter, p: int, alpha: int) -> int:
     return B
 
 
+@lru_cache(maxsize=_PLANS)
 def _salie_B_odd(chi: DirichletCharacter, p: int, alpha: int) -> int | None:
     """B with conj(chi(1+z p^alpha)) = e(Bz/p^{alpha+1} + (p-1)B z^2/(2p)).
 
@@ -554,7 +578,10 @@ def salie_eval(a: int, b: int, q: int, chi: DirichletCharacter) -> complex:
     """Stationary-phase evaluation of S_chi(a, b; q), q = p^ell with ell >= 2.
 
     Falls back to direct summation in the cases the closed form does not
-    cover (p = 2 with ell odd, or no consistent phase parameter B).
+    cover (p = 2 with ell odd, or no consistent phase parameter B), and at
+    ell = 1, where there is no stationary phase: the Salie route of
+    kloosterman_local calls it only at ell >= 2 and reads a factor mod a
+    prime from the twisted table, as the factored route does.
     """
     fac = arith.factor(q).pairs
     if len(fac) != 1:
@@ -572,7 +599,7 @@ def salie_eval(a: int, b: int, q: int, chi: DirichletCharacter) -> complex:
         q2 = p ** (ell - j)
         if arith.ord_p(chi.conductor, p) > ell - j:
             return 0j
-        chi2 = local_component(chi, p, q2)
+        chi2 = _local_component_cached(chi, p, q2)
         return p**j * twisted_kloosterman(a // p**j, b // p**j, q2, chi2,
                                           mode="salie" if ell - j >= 2 else "direct")
     if ja > 0:  # b is the unit; swap using S_chi(a,b;c) = S_conj(chi)(b,a;c)
@@ -673,9 +700,9 @@ def _weil_holds(m, bound):
 
 def weil_certificate(q: KloostermanQuery) -> WeilCertificate:
     """Value (factored route) plus the two certified conductor-aware bounds."""
-    val = kloosterman(q, "factored")
-    g = math.gcd(math.gcd(abs(q.a * q.n), abs(q.b * q.n)), q.c)
-    b1, b2 = _weil_bounds(g, q.n, q.c, q.chi.conductor)
+    a, b, n, c, chi = q.a, q.b, q.n, q.c, q.chi
+    val = _kloosterman_factored(a, b, n, c, chi, False)
+    b1, b2 = _weil_bounds(math.gcd(a * n, b * n, c), n, c, chi.conductor)
     m = abs(val)
     return WeilCertificate(val, b1, b2, (_weil_holds(m, b1), _weil_holds(m, b2)))
 

@@ -1,6 +1,5 @@
 import cmath
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -166,27 +165,6 @@ def test_pair_dimension_positive():
             for pr in pairs_with_product(om):
                 d = arith.tau(N // (pr.chi1.conductor * pr.chi2.conductor))
                 assert d >= 1
-
-
-def test_json_roundtrip():
-    for chi in enumerate_characters(24):
-        assert DirichletCharacter.from_json(chi.to_json()) == chi
-
-
-def test_from_json_rejects_non_canonical_data():
-    bad = [
-        {"modulus": 5, "conductor": 5, "exponents": [[5, 1, [5]]]},  # 5 >= order 4
-        {"modulus": 5, "conductor": 5, "exponents": [[5, 1, [-3]]]},
-        {"modulus": 6, "conductor": 1, "exponents": [[5, 1, [0]]]},  # 5 does not divide 6
-        {"modulus": 9, "conductor": 1, "exponents": [[3, 1, [0]]]},  # k != ord_3(9)
-        {"modulus": 8, "conductor": 1, "exponents": [[2, 3, [0]]]},  # (Z/8)^* has two generators
-        {"modulus": 0, "conductor": 1, "exponents": []},
-    ]
-    for obj in bad:
-        with pytest.raises(ValueError):
-            DirichletCharacter.from_json(json.dumps(obj))
-    good = {"modulus": 5, "conductor": 5, "exponents": [[5, 1, [1]]]}
-    assert DirichletCharacter.from_json(json.dumps(good)) == enumerate_characters(5)[1]
 
 
 # ---------------------------------------------------------------- properties

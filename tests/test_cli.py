@@ -35,6 +35,17 @@ def test_kloosterman_modes_agree(capsys):
     assert abs(vals[0] - vals[2]) < 1e-10
 
 
+@pytest.mark.parametrize("a, want", [
+    ("1000000000000005", "-999.238859876284"),   # a X would wrap in int64
+    ("9223372036854775813", "222.618671579357"),  # a itself above 2^63
+])
+def test_kloosterman_reduces_large_arguments_mod_c(capsys, a, want):
+    # the direct route reduces a and b mod c before its int64 index arithmetic
+    code, out, _ = run_cli(["kloosterman", "--a", a, "--b", "7", "--n", "1",
+                            "--c", "1000003", "--modulus", "1"], capsys)
+    assert code == 0 and out.strip() == want
+
+
 def test_usage_error(capsys):
     assert main(["kloosterman", "--a", "1"]) == 2
     capsys.readouterr()

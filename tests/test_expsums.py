@@ -202,6 +202,75 @@ def test_routes_agree(q):
     assert abs(d - kloosterman(q, "salie")) < 1e-9
 
 
+@st.composite
+def level_queries(draw):
+    """S_chi(a, b; n; c) with chi mod N <= 36, c = N k <= 240, any a and b."""
+    N = draw(st.integers(1, 36))
+    chi = draw(st.sampled_from(enumerate_characters(N)))
+    c = N * draw(st.integers(1, 240 // N))
+    n = draw(st.integers(-12, 12).filter(lambda n: n != 0))
+    return KloostermanQuery(draw(st.integers()), draw(st.integers()), n, c, chi)
+
+
+@PROPERTY
+@given(level_queries())
+@example(KloostermanQuery(5, 7, 2, 36, character(12, 2)))    # chi_3 principal, 3 !| n: untwisted
+@example(KloostermanQuery(5, 7, 3, 36, character(12, 2)))    # chi_3 principal, 3 | n: twisted
+@example(KloostermanQuery(5, 7, 6, 180, character(36, 6)))   # chi_3 principal mod 9, 3 | n
+@example(KloostermanQuery(3, 4, 1, 10, character(5, 1)))     # twisted at q = p, Salie mode
+@example(KloostermanQuery(3, 5, 1, 24, character(8, 1)))     # p = 2, ell = 3
+@example(KloostermanQuery(1, 6, 5, 32, character(8, 3)))     # p = 2, ell = 5
+@example(KloostermanQuery(-2**70 - 1, 2**64 + 3, -4, 96, character(24, 5)))   # a, b past int64
+def test_factored_and_salie_routes_match_the_direct_oracle(q):
+    d = kloosterman(q, "direct")
+    for mode in ("factored", "salie"):
+        assert abs(kloosterman(q, mode) - d) <= 1e-9 * max(1.0, abs(d)), mode
+
+
+@pytest.mark.parametrize("a", [10**15 + 5, 2**63 + 5, -(10**15) + 2, -7])
+def test_routes_reduce_large_arguments_mod_c(a):
+    # a X in int64 wraps once |a| X > 2^63: every route reduces a and b mod c first
+    c = 1000003
+    q = KloostermanQuery(a, 7, 1, c, TRIV)
+    d = kloosterman(q, "direct")
+    assert d == kloosterman(KloostermanQuery(a % c, 7, 1, c, TRIV), "direct")
+    assert abs(kloosterman(q, "factored") - d) <= 1e-12 * c
+    # the untwisted local factor is public and takes any a and b
+    for modulus, n in ((c, 1), (5**3, 5)):
+        assert kloosterman_local(a, -a, n, modulus, None) == \
+            kloosterman_local(a % modulus, -a % modulus, n, modulus, None)
+
+
+def test_salie_route_reads_the_table_at_a_prime_modulus(monkeypatch):
+    # stationary phase needs q = p^ell with ell >= 2: a query twisted only at
+    # q = 7 takes its factor from the one table entry in both modes
+    calls = []
+    salie = expsums.salie_eval
+    monkeypatch.setattr(expsums, "salie_eval", lambda *args: calls.append(args) or salie(*args))
+    _clear_plans()
+    q = KloostermanQuery(3, 5, 2, 28, character(7, 1))
+    s = kloosterman(q, "salie")
+    misses = kloosterman_local.cache_info().misses
+    assert s == kloosterman(q, "factored")
+    assert kloosterman_local.cache_info().misses == misses
+    assert calls == []
+    assert abs(s - kloosterman(q, "direct")) <= 1e-9
+
+
+def test_principal_local_twist_shares_the_untwisted_entry():
+    # chi mod 12 of conductor 4 is principal at 3; for n prime to 3 every x of
+    # x x' = n is a unit mod 3, so the query is its twin's mod 4, which has no
+    # character at 3, and finds every local factor in the twin's entries
+    _clear_plans()
+    chi, twin = character(12, 2), character(4, 1)
+    for n in (1, 2, -4):
+        before = [kloosterman(KloostermanQuery(5, 7, n, 36, twin), mode) for mode in ROUTES[1:]]
+        size = kloosterman_local.cache_info().currsize
+        after = [kloosterman(KloostermanQuery(5, 7, n, 36, chi), mode) for mode in ROUTES[1:]]
+        assert kloosterman_local.cache_info().currsize == size, n
+        assert after == before, n
+
+
 @PROPERTY
 @given(st.data())
 def test_twisted_multiplicativity(data):

@@ -98,3 +98,18 @@ def test_tracer_boundaries_exist():
     missing = [(mod_name, attr) for mod_name, attr, _name, _counter in tracer.BOUNDARIES
                if not callable(getattr(importlib.import_module(f"ktf_kit.{mod_name}"), attr, None))]
     assert tracer.BOUNDARIES and missing == []
+
+
+def test_kloosterman_local_calls_pass_salie_one_way():
+    # functools.lru_cache keys f(.., False), f(.., salie=False) and f(..) apart, so
+    # a call that passes the flag another way than the rest would keep its own
+    # entries: the block and the scalar routes would stop sharing local factors
+    ways = set()
+    for path in Path(ktf_kit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "kloosterman_local":
+                if any(kw.arg == "salie" for kw in node.keywords):
+                    ways.add("keyword")
+                else:
+                    ways.add("positional" if len(node.args) == 6 else "omitted")
+    assert len(ways) == 1, ways
